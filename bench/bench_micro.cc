@@ -2,6 +2,8 @@
 // substrates: grid-index operations, offline matchers, the Algorithm 2
 // estimator, the MER pricer, and end-to-end simulator throughput.
 
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
 #include "core/dem_com.h"
@@ -150,7 +152,7 @@ BENCHMARK(BM_Auction)->Arg(100)->Arg(400)->Arg(1000);
 struct PricingFixture {
   Instance instance;
   std::vector<WorkerId> candidates;
-  AcceptanceModel* model;
+  std::unique_ptr<AcceptanceModel> model;
 
   explicit PricingFixture(int n_candidates) {
     SyntheticConfig config;
@@ -161,7 +163,7 @@ struct PricingFixture {
     for (const Worker& w : instance.workers()) {
       if (w.platform == 1) candidates.push_back(w.id);
     }
-    model = new AcceptanceModel(instance);
+    model = std::make_unique<AcceptanceModel>(instance);
   }
 };
 

@@ -41,9 +41,10 @@ class EcdfIndex {
 
   /// probs_out[j] = Evaluate(w, payments[j]) for an ASCENDING payments
   /// array: one merge walk over the worker's sorted history instead of n
-  /// independent binary searches (the MER grid scan evaluates every
-  /// candidate at dozens of sorted payment points). Results are
-  /// bit-identical to Evaluate — same count, same count/size division.
+  /// independent binary searches (the MER scan walks each candidate over
+  /// the grid points from its history minimum up to the zero frontier,
+  /// both placed by hist_min()/hist_max()). Results are bit-identical to
+  /// Evaluate — same count, same count/size division.
   void EvaluateAscending(int64_t w, const double* payments, size_t n,
                          double* probs_out) const;
 

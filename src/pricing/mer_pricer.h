@@ -5,10 +5,37 @@
 // place of DemCOM's minimum-payment rule.
 //
 // The paper cites [14] only as a fast approximate maximizer with O(max v)
-// cost; we maximize over the integer payment grid {1, 2, ..., floor(v_r)}
-// plus v_r itself plus the candidates' distinct history values below v_r
-// (the ECDF only changes there, so the grid restricted this way finds the
-// exact maximizer of the empirical objective).
+// cost; we maximize over a finite payment grid: min(max_grid_points,
+// floor(v_r)) evenly spaced points in (0, v_r), v_r itself, and up to
+// max_history_candidates_per_worker picks spread over each candidate's
+// sorted history within (0, v_r] (the ECDF only changes at history values,
+// so the picks place the grid where the objective can jump). The argmax
+// is the first grid point with strictly the largest (v_r - p) * pr, and
+// v_r is quoted when no point earns more than 0.
+//
+// The scan does only the work that can change that result, reading the
+// EcdfIndex min/max summaries; every quote is bit-identical to evaluating
+// every candidate at every grid point (tests/pricing/mer_pricer_test.cc
+// keeps that dense scan as its reference):
+//  (a) Below a candidate's smallest history value its ECDF is exactly 0,
+//      its factor (1 - pr) exactly 1.0, and x * 1.0 == x, so each
+//      candidate is walked only from its history minimum on. A point
+//      earning exactly 0 never beats the initial 0, so points below every
+//      candidate's minimum (pr 0) and v_r itself (v_r - p = 0) are not
+//      built at all; the fallback still quotes v_r.
+//  (b) Let Z be the smallest history maximum among candidates with a
+//      non-empty history. At every p >= Z that candidate accepts with
+//      probability exactly 1.0, so pr is 1.0 and the revenue v_r - p never
+//      increases with p; only the smallest grid point >= Z can win among
+//      them, and it is the only one built.
+//  (c) A history whose minimum is positive and at or above Z contributes
+//      no factor below Z, and of its picks only the first, its minimum,
+//      can be the smallest point >= Z, so it costs one summary read.
+// Cost: O(k log P + P log P + sum over candidates with history minimum
+// below Z of the grid points and history values they walk), where P is the
+// number of grid points in [min history minimum, Z); the dense scan was
+// O(k (floor(v_r) + 32 k)). Z falls as k grows, so large candidate sets,
+// which the dense scan made quadratic, are the cheapest per candidate.
 
 #ifndef COMX_PRICING_MER_PRICER_H_
 #define COMX_PRICING_MER_PRICER_H_

@@ -22,6 +22,13 @@ struct SweepParam {
   double density;
 };
 
+// Without this gtest prints the raw bytes, padding included, and the
+// padding is uninitialized, so the discovered ctest names change per run.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_" << p.left << "x" << p.right << "_d"
+      << p.density;
+}
+
 class MatcherPropertyTest : public testing::TestWithParam<SweepParam> {};
 
 TEST_P(MatcherPropertyTest, SolverOrderingsHold) {

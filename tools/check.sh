@@ -2,7 +2,9 @@
 # Tier-1 gate: nine stages, strictest first.
 #
 #   1. asan-ubsan — full test suite under AddressSanitizer + UBSan
-#                   (includes the `kernels` backend-equivalence suite).
+#                   (includes the `kernels` backend-equivalence suite); a
+#                   UBSan report, float-cast-overflow included, fails the
+#                   test that triggered it.
 #   2. tsan       — the concurrency surface (thread pool, sweep engine,
 #                   latency histograms + span profiler, serve shards +
 #                   seqlock stats) under ThreadSanitizer.
