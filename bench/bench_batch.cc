@@ -1,41 +1,62 @@
-// Batched vs online dispatch: sweep the batch window length and compare
-// revenue / completions / user-visible waiting against the per-request
-// online algorithms on the identical workload. Quantifies the classic
-// latency-for-quality trade the spatial-crowdsourcing literature discusses
-// — and shows the cross-platform borrowing edge persists in both regimes.
+// Batched vs online dispatch on the identical workload: the per-request
+// online algorithms against SimEngine's micro-batch mode
+// (SimConfig::batch_mode with WindowGreedy matchers) at window lengths from
+// 0 s (one request per window: the per-request WindowGreedy policy) to
+// 900 s. Both regimes run through RunSimulation and every run must pass
+// AuditSimResult, so both obey the paper's time constraint (a worker serves
+// only requests that arrive after it) and the revenue columns compare like
+// with like. The wait column is the simulated delay from a request's
+// arrival to its window's close.
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "common.h"
 #include "core/dem_com.h"
 #include "core/ram_com.h"
 #include "core/tota_greedy.h"
+#include "core/window_greedy.h"
 #include "datagen/synthetic.h"
-#include "sim/batch_simulator.h"
+#include "sim/simulator.h"
 
 namespace {
 
 using namespace comx;  // NOLINT — leaf benchmark binary
 
+// One table row: `Matcher` on both platforms, averaged over seeds 1..seeds.
 template <typename Matcher>
-void OnlineRow(const char* name, const Instance& instance, int seeds) {
-  SimConfig sim;
-  sim.workers_recycle = true;
-  sim.measure_response_time = false;
-  double revenue = 0.0;
+void DispatchRow(const std::string& name, const Instance& instance,
+                 const SimConfig& sim, int seeds) {
+  double revenue = 0.0, wait_s = 0.0;
   int64_t completed = 0, coop = 0;
   for (int s = 1; s <= seeds; ++s) {
     Matcher m0, m1;
     auto r = RunSimulation(instance, {&m0, &m1}, sim,
                            static_cast<uint64_t>(s));
-    if (!r.ok()) std::exit(1);
+    if (!r.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                   r.status().ToString().c_str());
+      std::exit(1);
+    }
+    if (Status audit = AuditSimResult(instance, sim, *r); !audit.ok()) {
+      std::fprintf(stderr, "%s: audit: %s\n", name.c_str(),
+                   audit.ToString().c_str());
+      std::exit(1);
+    }
+    const PlatformMetrics agg = r->metrics.Aggregate();
     revenue += r->metrics.TotalRevenue();
-    completed += r->metrics.Aggregate().completed;
-    coop += r->metrics.Aggregate().completed_outer;
+    completed += agg.completed;
+    coop += agg.completed_outer;
+    wait_s += agg.response_time_us.mean() / 1e6;  // simulated seconds
   }
-  std::printf("%-16s %12.1f %9lld %7lld %13s\n", name, revenue / seeds,
-              static_cast<long long>(completed / seeds),
-              static_cast<long long>(coop / seeds), "instant");
+  char wait[32] = "instant";
+  if (sim.batch_mode) {
+    std::snprintf(wait, sizeof(wait), "%.1fs", wait_s / seeds);
+  }
+  std::printf("%-16s %12.1f %9lld %7lld %13s\n", name.c_str(),
+              revenue / seeds, static_cast<long long>(completed / seeds),
+              static_cast<long long>(coop / seeds), wait);
 }
 
 }  // namespace
@@ -52,38 +73,27 @@ int main(int argc, char** argv) {
               instance->Summary().c_str(), seeds);
   std::printf("%-16s %12s %9s %7s %13s\n", "dispatch", "revenue", "served",
               "coop", "mean wait");
-  OnlineRow<TotaGreedy>("online TOTA", *instance, seeds);
-  OnlineRow<DemCom>("online DemCOM", *instance, seeds);
-  OnlineRow<RamCom>("online RamCOM", *instance, seeds);
+  SimConfig online;
+  online.workers_recycle = true;
+  online.measure_response_time = false;
+  DispatchRow<TotaGreedy>("online TOTA", *instance, online, seeds);
+  DispatchRow<DemCom>("online DemCOM", *instance, online, seeds);
+  DispatchRow<RamCom>("online RamCOM", *instance, online, seeds);
 
-  for (double window : {15.0, 60.0, 300.0, 900.0}) {
-    BatchConfig batch;
-    batch.window_seconds = window;
-    batch.sim.workers_recycle = true;
-    double revenue = 0.0, wait = 0.0;
-    int64_t completed = 0, coop = 0;
-    for (int s = 1; s <= seeds; ++s) {
-      auto r = RunBatchSimulation(*instance, batch,
-                                  static_cast<uint64_t>(s));
-      if (!r.ok()) {
-        std::fprintf(stderr, "batch: %s\n", r.status().ToString().c_str());
-        return 1;
-      }
-      const auto agg = r->metrics.Aggregate();
-      revenue += agg.revenue;
-      completed += agg.completed;
-      coop += agg.completed_outer;
-      wait += agg.response_time_us.mean() / 1e6;  // simulated seconds
-    }
-    std::printf("%-16s %12.1f %9lld %7lld %12.1fs\n",
-                ("batch " + std::to_string(static_cast<int>(window)) + "s")
-                    .c_str(),
-                revenue / seeds, static_cast<long long>(completed / seeds),
-                static_cast<long long>(coop / seeds), wait / seeds);
+  for (double window : {0.0, 15.0, 60.0, 300.0, 900.0}) {
+    SimConfig batch;
+    batch.workers_recycle = true;
+    batch.batch_mode = true;
+    batch.batch_window_seconds = window;
+    DispatchRow<WindowGreedy>(
+        "batch " + std::to_string(static_cast<int>(window)) + "s", *instance,
+        batch, seeds);
   }
-  std::printf("\nexpected shape: longer windows buy revenue/completions "
-              "(better per-window matchings, retry on freed supply) at the "
-              "cost of user waiting that grows with the window; online COM "
-              "stays competitive at zero wait.\n");
+  std::printf("\nexpected shape: batch revenue stays flat across window "
+              "lengths (within ~2%% of the 0s row, which is the "
+              "per-request WindowGreedy policy at zero wait) while the "
+              "mean wait grows with the window. A request may only take a "
+              "worker who was already waiting when it arrived, so a longer "
+              "window adds no supply.\n");
   return 0;
 }

@@ -11,7 +11,6 @@
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
 #include "geo/grid_index.h"
-#include "geo/kd_tree.h"
 #include "matching/auction.h"
 #include "matching/greedy_offline.h"
 #include "matching/hungarian.h"
@@ -61,39 +60,6 @@ void BM_GridIndexRadiusQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GridIndexRadiusQuery)->Arg(10'000)->Arg(100'000);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(3);
-  std::vector<KdTree::Item> items;
-  for (int64_t i = 0; i < n; ++i) {
-    items.push_back({i, Point(rng.Uniform(-15, 15), rng.Uniform(-15, 15))});
-  }
-  for (auto _ : state) {
-    KdTree tree(items);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(10'000)->Arg(100'000);
-
-void BM_KdTreeRadiusQuery(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(3);
-  std::vector<KdTree::Item> items;
-  for (int64_t i = 0; i < n; ++i) {
-    items.push_back({i, Point(rng.Uniform(-15, 15), rng.Uniform(-15, 15))});
-  }
-  const KdTree tree(std::move(items));
-  size_t hits = 0;
-  for (auto _ : state) {
-    const Point c(rng.Uniform(-15, 15), rng.Uniform(-15, 15));
-    hits += tree.ForEachInRadius(c, 1.0, [](const KdTree::Item&, double) {});
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KdTreeRadiusQuery)->Arg(10'000)->Arg(100'000);
 
 BipartiteGraph RandomGraph(int32_t left, int32_t right, double density,
                            uint64_t seed) {

@@ -6,9 +6,9 @@
 // idle keep their price, which is what makes consecutive near-identical
 // windows cheap.
 //
-// SimEngine's batch mode and the legacy sim/batch_simulator both route
-// their window solves through this class; src/exp sweeps the
-// window-size × algorithm grid (exp/batch_grid.h).
+// SimEngine's batch mode (SimConfig::batch_mode) routes every window solve
+// through this class; src/exp sweeps the window-size × algorithm grid
+// (exp/batch_grid.h).
 
 #ifndef COMX_MATCHING_BATCH_MATCHER_H_
 #define COMX_MATCHING_BATCH_MATCHER_H_
@@ -28,7 +28,7 @@ namespace comx {
 /// Window assignment backend.
 enum class BatchAlgo : int32_t {
   /// Size-routed: dense Hungarian for small windows, greedy beyond
-  /// auto_dense_cell_limit cells (the legacy batch-simulator policy).
+  /// auto_dense_cell_limit cells.
   kAuto = 0,
   kGreedy = 1,
   kHungarian = 2,

@@ -105,6 +105,21 @@ Status SimEngine::Init(const Instance& instance,
           StrFormat("batch_window_seconds must be finite and >= 0, got %g",
                     config.batch_window_seconds));
     }
+    // StepBatchEnqueue books a request into window floor(t / window) and
+    // closes it at (index + 1) * window. Both are exact only while
+    // |t / window| < 2^53; beyond that (and past int64, where the cast is
+    // undefined) the request lands in a window that closes before it
+    // arrives.
+    if (config.batch_window_seconds > 0.0) {
+      for (const Request& r : instance.requests()) {
+        if (!(std::abs(r.time / config.batch_window_seconds) < 0x1p53)) {
+          return Status::InvalidArgument(StrFormat(
+              "request %lld at t=%g is 2^53 or more %g s windows from t=0",
+              static_cast<long long>(r.id), r.time,
+              config.batch_window_seconds));
+        }
+      }
+    }
   }
 
   instance_ = &instance;

@@ -78,7 +78,9 @@ struct SimConfig {
   bool batch_mode = false;
   /// Window length in virtual seconds. 0 flushes every request in its own
   /// window immediately — provably bit-identical to the WindowGreedy
-  /// online matcher (see core/window_greedy.h).
+  /// online matcher (see core/window_greedy.h). A positive window must
+  /// keep every |request time / window| below 2^53, the range where the
+  /// window index is exact; Init refuses the run otherwise.
   double batch_window_seconds = 30.0;
   /// Window solver tuning (algorithm, warm start, budgets).
   BatchMatchConfig batch;

@@ -55,13 +55,6 @@ Status WorkerPool::MarkOccupied(WorkerId w) {
 std::vector<WorkerId> WorkerPool::FeasibleWorkers(const Request& r,
                                                   PlatformId platform,
                                                   bool inner) const {
-  return FeasibleWorkersAt(r, platform, inner, r.time);
-}
-
-std::vector<WorkerId> WorkerPool::FeasibleWorkersAt(const Request& r,
-                                                    PlatformId platform,
-                                                    bool inner,
-                                                    Timestamp as_of) const {
   std::vector<WorkerId> out;
   const int32_t* platforms = soa_.platform();
   const double* since = soa_.available_since();
@@ -72,7 +65,7 @@ std::vector<WorkerId> WorkerPool::FeasibleWorkersAt(const Request& r,
         const bool same = platforms[i] == static_cast<int32_t>(platform);
         if (inner != same) return;
         // Time constraint against the *current* availability episode.
-        if (since[i] > as_of) return;
+        if (since[i] > r.time) return;
         // Range constraint against the worker's own radius: the cached
         // radius² compare *is* the Euclidean WithinRange test (same d2,
         // same radius*radius product), so under the Euclidean metric no

@@ -68,15 +68,6 @@ class WorkerPool {
   std::vector<WorkerId> FeasibleWorkers(const Request& r, PlatformId platform,
                                         bool inner) const;
 
-  /// Like FeasibleWorkers but with the time constraint taken against an
-  /// explicit decision time instead of the request's arrival: a worker
-  /// qualifies when it became available by `as_of`. Used by batched
-  /// dispatch, which decides at window close rather than at arrival
-  /// (see sim/batch_simulator.h).
-  std::vector<WorkerId> FeasibleWorkersAt(const Request& r,
-                                          PlatformId platform, bool inner,
-                                          Timestamp as_of) const;
-
   /// Travel distances from each worker in `ids` to `target`, in order.
   /// Under the Euclidean metric the coordinates are gathered from the SoA
   /// mirror and scored by the batched squared-distance kernel (sqrt applied

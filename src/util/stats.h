@@ -4,7 +4,6 @@
 #ifndef COMX_UTIL_STATS_H_
 #define COMX_UTIL_STATS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -63,31 +62,6 @@ class RunningStats {
 /// interpolation between order statistics. Copies and sorts internally.
 /// Returns 0 for an empty vector.
 double Quantile(std::vector<double> values, double q);
-
-/// Equal-width histogram over [lo, hi] with `bins` buckets; values outside
-/// the range are clamped into the first/last bucket.
-class Histogram {
- public:
-  /// Creates a histogram. Requires bins >= 1 and lo < hi.
-  Histogram(double lo, double hi, size_t bins);
-
-  /// Adds one observation.
-  void Add(double x);
-
-  /// Count in bucket `i`.
-  int64_t BucketCount(size_t i) const { return counts_[i]; }
-  /// Inclusive lower edge of bucket `i`.
-  double BucketLow(size_t i) const;
-  /// Number of buckets.
-  size_t bins() const { return counts_.size(); }
-  /// Total observations.
-  int64_t total() const { return total_; }
-
- private:
-  double lo_, hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
 
 }  // namespace comx
 

@@ -13,8 +13,8 @@
 #include "core/ram_com.h"
 #include "core/ranking.h"
 #include "core/tota_greedy.h"
+#include "core/window_greedy.h"
 #include "datagen/synthetic.h"
-#include "sim/batch_simulator.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -68,6 +68,31 @@ SimConfig RandomSimConfig(Rng* rng) {
   return sim;
 }
 
+// Runs `matchers` over the instance and asserts feasibility plus the
+// metric identities every run must keep.
+void ExpectRunKeepsInvariants(const Instance& instance,
+                              const SyntheticConfig& config,
+                              const std::vector<OnlineMatcher*>& matchers,
+                              const SimConfig& sim, uint64_t seed) {
+  auto result = RunSimulation(instance, matchers, sim, seed);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(AuditSimResult(instance, sim, *result).ok())
+      << AuditSimResult(instance, sim, *result);
+
+  const PlatformMetrics agg = result->metrics.Aggregate();
+  EXPECT_EQ(agg.completed + agg.rejected,
+            static_cast<int64_t>(instance.requests().size()));
+  EXPECT_EQ(agg.completed, agg.completed_inner + agg.completed_outer);
+  EXPECT_LE(agg.completed_outer, agg.outer_offers);
+  EXPECT_GE(agg.revenue, 0.0);
+  EXPECT_GE(agg.total_pickup_km, 0.0);
+  // Pickups are bounded by the configured radius per completion.
+  EXPECT_LE(agg.total_pickup_km,
+            static_cast<double>(agg.completed) * config.radius_km + 1e-6);
+  EXPECT_EQ(result->matching.assignments.size(),
+            static_cast<size_t>(agg.completed));
+}
+
 class FuzzTest : public testing::TestWithParam<int> {};
 
 TEST_P(FuzzTest, RandomConfigsKeepAllInvariants) {
@@ -85,40 +110,29 @@ TEST_P(FuzzTest, RandomConfigsKeepAllInvariants) {
       owned.push_back(RandomMatcher(&rng));
       matchers.push_back(owned.back().get());
     }
-    auto result = RunSimulation(*instance, matchers, sim, rng.NextUint64());
-    ASSERT_TRUE(result.ok()) << result.status();
-    ASSERT_TRUE(AuditSimResult(*instance, sim, *result).ok())
-        << "round " << round;
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    ExpectRunKeepsInvariants(*instance, config, matchers, sim,
+                             rng.NextUint64());
 
-    const PlatformMetrics agg = result->metrics.Aggregate();
-    EXPECT_EQ(agg.completed + agg.rejected,
-              static_cast<int64_t>(instance->requests().size()));
-    EXPECT_EQ(agg.completed, agg.completed_inner + agg.completed_outer);
-    EXPECT_LE(agg.completed_outer, agg.outer_offers);
-    EXPECT_GE(agg.revenue, 0.0);
-    EXPECT_GE(agg.total_pickup_km, 0.0);
-    // Pickups are bounded by the configured radius per completion.
-    EXPECT_LE(agg.total_pickup_km,
-              static_cast<double>(agg.completed) * config.radius_km + 1e-6);
-    EXPECT_EQ(result->matching.assignments.size(),
-              static_cast<size_t>(agg.completed));
-
-    // Every other round also pushes the workload through the batch runner
-    // with a random window, checking the same identities.
+    // Every other round also dispatches the workload in micro-batch
+    // windows of random length and solver, checking the same invariants.
     if (round % 2 == 0) {
-      BatchConfig batch;
-      batch.window_seconds = rng.Uniform(5.0, 900.0);
-      batch.max_wait_windows = static_cast<int32_t>(rng.UniformInt(1, 6));
-      batch.sim = sim;
-      auto batched = RunBatchSimulation(*instance, batch, rng.NextUint64());
-      ASSERT_TRUE(batched.ok()) << batched.status();
-      const PlatformMetrics bagg = batched->metrics.Aggregate();
-      EXPECT_EQ(bagg.completed + bagg.rejected,
-                static_cast<int64_t>(instance->requests().size()));
-      EXPECT_EQ(bagg.completed, bagg.completed_inner + bagg.completed_outer);
-      EXPECT_GE(bagg.revenue, 0.0);
-      EXPECT_EQ(batched->matching.assignments.size(),
-                static_cast<size_t>(bagg.completed));
+      constexpr BatchAlgo kAlgos[] = {
+          BatchAlgo::kAuto, BatchAlgo::kGreedy, BatchAlgo::kHungarian,
+          BatchAlgo::kAuction, BatchAlgo::kIncrementalKm};
+      SimConfig batch = sim;
+      batch.batch_mode = true;
+      batch.batch_window_seconds =
+          rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.0, 900.0);
+      batch.batch.algo = kAlgos[rng.UniformInt(0, 4)];
+      SCOPED_TRACE(testing::Message()
+                   << "batch window " << batch.batch_window_seconds
+                   << " algo " << BatchAlgoName(batch.batch.algo));
+      std::vector<WindowGreedy> greedy(static_cast<size_t>(config.platforms));
+      std::vector<OnlineMatcher*> batch_matchers;
+      for (WindowGreedy& g : greedy) batch_matchers.push_back(&g);
+      ExpectRunKeepsInvariants(*instance, config, batch_matchers, batch,
+                               rng.NextUint64());
     }
   }
 }

@@ -41,7 +41,7 @@ TEST(BatchMatcherTest, RejectsColumnMapSizeMismatch) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(BatchMatcherTest, AutoRoutesLikeTheLegacyBatchSimulator) {
+TEST(BatchMatcherTest, AutoRoutesByTheDenseCellLimit) {
   Rng rng(11);
   const BipartiteGraph g = RandomGraph(6, 6, 0.6, &rng);
   BatchMatchConfig small;
@@ -58,10 +58,17 @@ TEST(BatchMatcherTest, AutoRoutesLikeTheLegacyBatchSimulator) {
 
 TEST(BatchMatcherTest, ExactBackendsAgreeWithHungarianPerWindow) {
   Rng rng(2020);
-  for (int trial = 0; trial < 40; ++trial) {
+  // Trials 40..79 draw weights from {1, 2, 3}: many optimal matchings tie,
+  // as they do in dispatch windows where every inner edge of a request
+  // weighs its value. Exact backends may pick different optima but must
+  // agree on the weight.
+  for (int trial = 0; trial < 80; ++trial) {
     const int32_t left = static_cast<int32_t>(rng.UniformInt(0, 16));
     const int32_t right = static_cast<int32_t>(rng.UniformInt(1, 16));
-    const BipartiteGraph g = RandomGraph(left, right, 0.5, &rng);
+    const BipartiteGraph g =
+        trial < 40 ? RandomGraph(left, right, 0.5, &rng)
+                   : RandomIntegerGraph(left, right, 0.5, /*max_weight=*/3,
+                                        &rng);
     auto reference = HungarianMaxWeight(g);
     ASSERT_TRUE(reference.ok());
     for (BatchAlgo algo :

@@ -103,26 +103,5 @@ TEST(QuantileTest, ClampsQ) {
   EXPECT_DOUBLE_EQ(Quantile(v, 2.0), 2.0);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);    // bucket 0
-  h.Add(9.9);    // bucket 4
-  h.Add(-3.0);   // clamped to bucket 0
-  h.Add(100.0);  // clamped to bucket 4
-  h.Add(5.0);    // bucket 2
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.BucketCount(0), 2);
-  EXPECT_EQ(h.BucketCount(2), 1);
-  EXPECT_EQ(h.BucketCount(4), 2);
-  EXPECT_EQ(h.BucketCount(1), 0);
-}
-
-TEST(HistogramTest, BucketLowEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.BucketLow(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.BucketLow(2), 4.0);
-  EXPECT_EQ(h.bins(), 5u);
-}
-
 }  // namespace
 }  // namespace comx

@@ -27,7 +27,9 @@
 //                     (SimConfig::batch_mode); --batch-window sets the
 //                     window length (0 = per-request, bit-identical to the
 //                     window-greedy policy) and --batch-algo the window
-//                     solver (auto|greedy|hungarian|auction|incremental_km).
+//                     solver (auto|greedy|hungarian|auction|incremental_km);
+//                     rt= then reports the mean simulated wait (window
+//                     close − arrival) instead of matcher compute time.
 //                     --trace-out records every first-seed decision as one
 //                     JSONL line (verify with trace_inspect); --metrics-out
 //                     dumps the metrics registry after the run;
@@ -42,7 +44,6 @@
 //                     output).
 //   comx_cli offline  --data PREFIX [--capacity K] [--no-outer]
 //   comx_cli schedule --data PREFIX [--no-recycle]   (exact, tiny instances)
-//   comx_cli batch    --data PREFIX [--window SECONDS] [--seeds N]
 //   comx_cli cr       --data PREFIX --algo ALGO [--perms N]
 //   comx_cli density  --data PREFIX [--cols N] [--rows N] [--csv OUT.csv]
 
@@ -72,7 +73,6 @@
 #include "obs/exporters.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "sim/batch_simulator.h"
 #include "exp/sweep_runner.h"
 #include "sim/competitive_ratio.h"
 #include "sim/offline_schedule.h"
@@ -481,34 +481,6 @@ int CmdSchedule(int argc, char** argv) {
   return 0;
 }
 
-int CmdBatch(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
-  if (data == nullptr) {
-    std::fprintf(stderr, "batch: --data PREFIX is required\n");
-    return 2;
-  }
-  auto instance = LoadInstance(data);
-  if (!instance.ok()) return Fail(instance.status());
-  BatchConfig config;
-  config.window_seconds = DoubleFlag(argc, argv, "--window", 60.0);
-  config.sim.workers_recycle = !HasFlag(argc, argv, "--no-recycle");
-  const int seeds = static_cast<int>(IntFlag(argc, argv, "--seeds", 3));
-  PlatformMetrics agg;
-  for (int s = 1; s <= seeds; ++s) {
-    PollShutdown();
-    auto result =
-        RunBatchSimulation(*instance, config, static_cast<uint64_t>(s));
-    if (!result.ok()) return Fail(result.status());
-    agg.Merge(result->metrics.Aggregate());
-  }
-  std::printf("batched dispatch, %gs windows, %d seed(s) (totals):\n",
-              config.window_seconds, seeds);
-  std::printf("  %s\n  mean user wait: %.1f s (simulated)\n",
-              agg.ToString().c_str(),
-              agg.response_time_us.mean() / 1e6);
-  return 0;
-}
-
 int CmdCr(int argc, char** argv) {
   const char* data = FlagValue(argc, argv, "--data");
   const char* algo = FlagValue(argc, argv, "--algo");
@@ -670,7 +642,7 @@ int Main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: comx_cli <gen|gen-real|info|run|offline|schedule|"
-                 "batch|cr|density|degrade> "
+                 "cr|density|degrade> "
                  "[flags]\n(see the file header for per-command flags)\n");
     return 2;
   }
@@ -682,7 +654,6 @@ int Main(int argc, char** argv) {
   if (cmd == "offline") return CmdOffline(argc, argv);
   if (cmd == "density") return CmdDensity(argc, argv);
   if (cmd == "schedule") return CmdSchedule(argc, argv);
-  if (cmd == "batch") return CmdBatch(argc, argv);
   if (cmd == "cr") return CmdCr(argc, argv);
   if (cmd == "degrade") return CmdDegrade(argc, argv);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
