@@ -324,6 +324,15 @@ namespace {
 /// Shared crash-experiment driver: `choose` turns the completed baseline's
 /// stats into the crash point (random byte for the classic matrix, an
 /// exact group-commit boundary for the batch-loss scenario).
+recovery::CrashPoint DrawSeededCrashPoint(
+    const recovery::DurableRunStats& stats, uint64_t crash_seed) {
+  recovery::CrashProfile profile;
+  profile.wal_bytes = stats.wal_bytes;
+  profile.checkpoints = stats.checkpoint_spans;
+  Rng rng(crash_seed);
+  return recovery::DrawCrashPoint(profile, &rng);
+}
+
 Result<CrashCheckOutcome> RunCrashRecoveryCheckImpl(
     MatcherKind kind, const Scenario& scenario, const Instance& instance,
     const std::string& work_dir,
@@ -438,11 +447,7 @@ Result<CrashCheckOutcome> RunCrashRecoveryCheck(
       kind, scenario, instance, work_dir,
       [crash_seed](const recovery::DurableRunStats& stats)
           -> Result<recovery::CrashPoint> {
-        recovery::CrashProfile profile;
-        profile.wal_bytes = stats.wal_bytes;
-        profile.checkpoints = stats.checkpoint_spans;
-        Rng rng(crash_seed);
-        return recovery::DrawCrashPoint(profile, &rng);
+        return DrawSeededCrashPoint(stats, crash_seed);
       },
       checkpoint_every_steps);
 }
@@ -450,18 +455,20 @@ Result<CrashCheckOutcome> RunCrashRecoveryCheck(
 Result<CrashCheckOutcome> RunBoundaryCrashRecoveryCheck(
     MatcherKind kind, const Scenario& scenario, const Instance& instance,
     const std::string& work_dir, uint64_t boundary_index,
-    int64_t checkpoint_every_steps) {
-  return RunCrashRecoveryCheckImpl(
+    uint64_t fallback_crash_seed, int64_t checkpoint_every_steps) {
+  bool fell_back = false;
+  Result<CrashCheckOutcome> outcome = RunCrashRecoveryCheckImpl(
       kind, scenario, instance, work_dir,
-      [boundary_index](const recovery::DurableRunStats& stats)
+      [boundary_index, fallback_crash_seed, &fell_back](
+          const recovery::DurableRunStats& stats)
           -> Result<recovery::CrashPoint> {
         // The final commit offset equals the run's total WAL bytes; a crash
         // "at" it would never fire (nothing is written afterwards), so only
-        // the interior boundaries model the fill-to-fsync window.
+        // the interior boundaries model the fill-to-fsync window. A run too
+        // short to have one still gets a seeded byte-offset kill.
         if (stats.wal_commit_offsets.size() < 2) {
-          return Status::Internal(
-              "baseline produced fewer than two group commits; no interior "
-              "boundary to crash at");
+          fell_back = true;
+          return DrawSeededCrashPoint(stats, fallback_crash_seed);
         }
         const size_t usable = stats.wal_commit_offsets.size() - 1;
         recovery::CrashPoint point;
@@ -472,6 +479,8 @@ Result<CrashCheckOutcome> RunBoundaryCrashRecoveryCheck(
         return point;
       },
       checkpoint_every_steps);
+  if (outcome.ok()) outcome->boundary_fallback = fell_back;
+  return outcome;
 }
 
 }  // namespace check

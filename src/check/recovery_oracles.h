@@ -53,6 +53,9 @@ struct CrashCheckOutcome {
   std::vector<OracleViolation> violations;
   recovery::DurableRunStats baseline_stats;
   recovery::DurableRunStats recovery_stats;
+  /// RunBoundaryCrashRecoveryCheck only: the baseline had no interior
+  /// group-commit boundary, so `point` is the seeded byte-offset draw.
+  bool boundary_fallback = false;
 };
 
 /// Runs the durable baseline in `work_dir`/baseline, draws one crash point
@@ -73,12 +76,14 @@ Result<CrashCheckOutcome> RunCrashRecoveryCheck(
 /// fill and fsync" window: the writer's buffer has accepted a full batch of
 /// records but not one byte of it is durable, so recovery must re-execute
 /// the ENTIRE lost batch — the scenario that catches a group commit whose
-/// shutdown path forgets to flush the buffered tail. Internal error when
-/// the baseline commits fewer than two batches.
+/// shutdown path forgets to flush the buffered tail. A baseline that
+/// commits fewer than two batches has no interior boundary; its point
+/// falls back to RunCrashRecoveryCheck's draw with `fallback_crash_seed`
+/// and the outcome says so (`boundary_fallback`).
 Result<CrashCheckOutcome> RunBoundaryCrashRecoveryCheck(
     MatcherKind kind, const Scenario& scenario, const Instance& instance,
     const std::string& work_dir, uint64_t boundary_index,
-    int64_t checkpoint_every_steps);
+    uint64_t fallback_crash_seed, int64_t checkpoint_every_steps);
 
 }  // namespace check
 }  // namespace comx

@@ -72,10 +72,13 @@ class StepJournal {
   /// Appends the records of one executed step (engine already stepped).
   Status JournalStep(const SimEngine& engine, const StepRecord& step);
 
-  /// Commits the buffered tail without sealing the log (shutdown path).
+  /// Commits the buffered tail without sealing the log (shutdown path);
+  /// returns once every journaled record is durable.
   Status Flush();
 
-  /// Appends kRunEnd and closes the log. Call once, after engine.Done().
+  /// Appends kRunEnd and closes the log; returns once it is durable. Call
+  /// once, after engine.Done() and before engine.Finish(), which moves out
+  /// the running totals kRunEnd records.
   Status Finish(const SimEngine& engine);
 
   const WalWriter& wal() const { return *wal_; }

@@ -258,16 +258,29 @@ Status DecodeWalPayload(std::string_view payload, WalRecord* rec) {
   return status;
 }
 
+obs::LatencyHistogram* WalDurabilityLagHistogram() {
+  static obs::LatencyHistogram* const histogram =
+      obs::MetricsRegistry::Global().GetLatencyHistogram(
+          "comx_recovery_wal_durability_lag_ns",
+          "WAL durability lag: a batch's first append to the end of its "
+          "fsync");
+  return histogram;
+}
+
 WalWriter::WalWriter(int fd, const WalWriterOptions& options,
                      int64_t durable_bytes, uint64_t next_lsn,
                      CrashInjector* crash)
     : fd_(fd),
       options_(options),
       crash_(crash),
-      durable_bytes_(durable_bytes),
-      next_lsn_(next_lsn) {}
+      sealed_bytes_(durable_bytes),
+      next_lsn_(next_lsn),
+      durable_bytes_(durable_bytes) {
+  flusher_ = std::thread([this] { FlushLoop(); });
+}
 
 WalWriter::~WalWriter() {
+  StopFlusher();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -285,7 +298,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(
   for (char c : kWalMagic) header.U8(static_cast<uint8_t>(c));
   header.U32(kWalVersion);
   header.U32(0);  // reserved
-  writer->buffer_ = header.Take();
+  writer->active_.bytes = header.Take();
   return writer;
 }
 
@@ -313,66 +326,125 @@ Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
 Status WalWriter::Append(WalRecord* rec) {
   if (fd_ < 0) return Status::FailedPrecondition("wal: writer is closed");
   if (dead_) return Status::DataLoss("injected crash: wal writer is dead");
+  if (failed_.load()) return WaitDurable();
   rec->lsn = next_lsn_++;
   const std::string payload = EncodeWalPayload(*rec);
   ByteWriter frame;
   frame.U32(static_cast<uint32_t>(payload.size()));
   frame.U32(Crc32cMask(Crc32c(payload.data(), payload.size())));
-  buffer_ += frame.str();
-  buffer_ += payload;
+  if (active_.bytes.empty()) active_.age.Reset();
+  active_.bytes += frame.str();
+  active_.bytes += payload;
   ++buffered_records_;
   ++records_appended_;
   CountMetric("comx_recovery_wal_records_total", "WAL records appended", 1);
   if (buffered_records_ >= options_.group_commit_records ||
-      static_cast<int64_t>(buffer_.size()) >= options_.group_commit_bytes) {
-    return Commit();
+      static_cast<int64_t>(active_.bytes.size()) >=
+          options_.group_commit_bytes) {
+    return Seal();
   }
   return Status::OK();
 }
 
-Status WalWriter::Commit() {
-  if (fd_ < 0) return Status::FailedPrecondition("wal: writer is closed");
-  if (dead_) return Status::DataLoss("injected crash: wal writer is dead");
-  if (buffer_.empty()) return Status::OK();
-  COMX_SPAN("wal_commit");
-  const int64_t want = static_cast<int64_t>(buffer_.size());
+Status WalWriter::Seal() {
+  const int64_t want = static_cast<int64_t>(active_.bytes.size());
   const int64_t allowed = crash_ ? crash_->AllowWalBytes(want) : want;
-  int64_t written = 0;
-  while (written < allowed) {
-    const ssize_t n = ::write(fd_, buffer_.data() + written,
-                              static_cast<size_t>(allowed - written));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoError("write failed", "wal");
-    }
-    written += n;
+  const bool torn = allowed < want;
+  if (torn) active_.bytes.resize(static_cast<size_t>(allowed));
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !in_flight_; });
+    if (!error_.ok()) return error_;
+    std::swap(active_, flushing_);
+    in_flight_ = true;
   }
-  if (::fsync(fd_) != 0) return IoError("fsync failed", "wal");
-  durable_bytes_ += written;
-  CountMetric("comx_recovery_wal_bytes_total", "WAL bytes made durable",
-              written);
-  if (allowed < want) {
+  cv_.notify_all();
+  buffered_records_ = 0;
+  if (torn) {
     dead_ = true;
+    COMX_RETURN_IF_ERROR(WaitDurable());
     return Status::DataLoss(StrFormat(
         "injected crash: wal torn after %lld durable bytes",
-        static_cast<long long>(durable_bytes_)));
+        static_cast<long long>(durable_bytes())));
   }
-  buffer_.clear();
-  buffered_records_ = 0;
+  sealed_bytes_ += want;
   ++commits_;
-  commit_offsets_.push_back(durable_bytes_);
+  commit_offsets_.push_back(sealed_bytes_);
   CountMetric("comx_recovery_wal_commits_total",
               "WAL group commits (fsync batches)", 1);
   return Status::OK();
 }
 
+Status WalWriter::WaitDurable() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !in_flight_; });
+  return error_;
+}
+
+Status WalWriter::Commit() {
+  if (fd_ < 0) return Status::FailedPrecondition("wal: writer is closed");
+  if (dead_) return Status::DataLoss("injected crash: wal writer is dead");
+  if (!active_.bytes.empty()) COMX_RETURN_IF_ERROR(Seal());
+  return WaitDurable();
+}
+
 Status WalWriter::Close() {
   if (fd_ < 0) return Status::OK();
   const Status commit = dead_ ? Status::OK() : Commit();
+  StopFlusher();
   const int rc = ::close(fd_);
   fd_ = -1;
   COMX_RETURN_IF_ERROR(commit);
   if (rc != 0) return IoError("close failed", "wal");
+  return Status::OK();
+}
+
+void WalWriter::StopFlusher() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  if (flusher_.joinable()) flusher_.join();
+}
+
+void WalWriter::FlushLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    cv_.wait(lock, [this] { return in_flight_ || stop_; });
+    if (!in_flight_) return;  // stopping, nothing sealed
+    lock.unlock();
+    const Status status = WriteBatch(flushing_.bytes);
+    if (status.ok() && obs::CollectionEnabled()) {
+      WalDurabilityLagHistogram()->ObserveNanos(flushing_.age.ElapsedNanos());
+    }
+    flushing_.bytes.clear();
+    lock.lock();
+    if (!status.ok()) {  // Seal() hands over nothing more after this
+      error_ = status;
+      failed_.store(true);
+    }
+    in_flight_ = false;
+    cv_.notify_all();
+  }
+}
+
+Status WalWriter::WriteBatch(const std::string& bytes) {
+  COMX_SPAN("wal_commit");
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd_, bytes.data() + written, bytes.size() - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoError("write failed", "wal");
+    }
+    written += static_cast<size_t>(n);
+  }
+  if (::fsync(fd_) != 0) return IoError("fsync failed", "wal");
+  durable_bytes_.fetch_add(static_cast<int64_t>(written));
+  CountMetric("comx_recovery_wal_bytes_total", "WAL bytes made durable",
+              static_cast<int64_t>(written));
   return Status::OK();
 }
 

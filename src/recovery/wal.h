@@ -6,11 +6,29 @@
 // via util/binio.h. The CRC is masked (crc32c.h) so a frame of zeros never
 // validates. LSNs are assigned densely (0, 1, 2, ...) by the writer.
 //
-// The writer group-commits: frames accumulate in memory and are written +
-// fsync'd as one batch when either threshold trips or Commit() is called
-// explicitly. A record is durable only after the commit that covers it —
-// the durable driver orders every externally visible effect (checkpoint
-// writes, run completion) after the covering Commit().
+// The writer group-commits through a two-batch pipeline (the flush
+// pipelining of Aether, Johnson et al., VLDB 2010). Frames accumulate in
+// the active batch; when either threshold trips (or on Commit()) the batch
+// is *sealed* and handed to the writer's flusher thread, which writes +
+// fsyncs sealed batches strictly in seal order while the appender keeps
+// going. The appender blocks only when the previous sealed batch is still
+// in flight at the next seal, so at most two batches are held in memory.
+// Seal points depend only on record counts and sizes, never on timing, so
+// the file bytes, commits(), commit_offsets() and every crash-injection
+// offset are deterministic.
+//
+// A record is durable only after the fsync that covers it. Commit(),
+// Flush() and Close() return only once every appended record is durable,
+// so RunDurableSimulation can order every externally visible effect
+// (checkpoint writes, run completion) after the covering Commit().
+//
+// Effects published before Commit() returns are published before they are
+// durable. comx_serve replies as soon as a step is done, so its replies
+// may leave before their records are on disk; a step that seals a batch
+// does not wait for that batch's fsync. A kill can therefore lose up to
+// two batches (the one in flight and the one filling). Recovery
+// re-executes from any durable prefix, so the lost steps are re-derived
+// bit for bit.
 //
 // The reader is crash-tolerant by construction: a scan stops at the first
 // frame that is incomplete or fails its CRC and reports everything before
@@ -24,17 +42,26 @@
 #ifndef COMX_RECOVERY_WAL_H_
 #define COMX_RECOVERY_WAL_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "recovery/crash_injector.h"
 #include "sim/sim_engine.h"
 #include "util/binio.h"
 #include "util/result.h"
+#include "util/timer.h"
 
 namespace comx {
+namespace obs {
+class LatencyHistogram;
+}  // namespace obs
+
 namespace recovery {
 
 /// First 8 file bytes, "COMXWAL1" in file order.
@@ -120,13 +147,22 @@ std::string EncodeWalPayload(const WalRecord& rec, bool for_compare = false);
 Status DecodeWalPayload(std::string_view payload, WalRecord* rec);
 
 struct WalWriterOptions {
-  /// Commit when this many records are buffered (<=1 commits every append).
+  /// Seal the batch when this many records are buffered (<=1 seals every
+  /// append).
   int64_t group_commit_records = 32;
   /// ... or when the buffered frames reach this many bytes.
   int64_t group_commit_bytes = 32 * 1024;
 };
 
-/// Append-only WAL writer. Not thread-safe.
+/// The process-wide `comx_recovery_wal_durability_lag_ns` histogram. Each
+/// fsync'd batch adds one sample: the time from the batch's first append
+/// to the end of its fsync, i.e. the worst durability lag of any record in
+/// the batch. Recorded only while obs collection is on.
+obs::LatencyHistogram* WalDurabilityLagHistogram();
+
+/// Append-only WAL writer with a pipelined group commit (see the file
+/// comment). One thread at a time may call the public methods; the writer
+/// owns one flusher thread, joined by Close() and the destructor.
 class WalWriter {
  public:
   /// Creates/truncates `path` and writes the header. `crash` may be null;
@@ -142,62 +178,104 @@ class WalWriter {
       const std::string& path, const WalWriterOptions& options,
       int64_t durable_bytes, uint64_t next_lsn, CrashInjector* crash);
 
+  /// Joins the flusher. A sealed batch still lands; the unsealed tail is
+  /// dropped (see Flush()).
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Assigns `rec->lsn`, frames and buffers it; commits the batch when a
-  /// group-commit threshold trips. DataLoss when the crash injector fires.
+  /// Assigns `rec->lsn`, frames and buffers it; seals the batch when a
+  /// group-commit threshold trips. DataLoss when the crash injector fires
+  /// (the torn prefix is on disk by then); a write or fsync error of an
+  /// earlier batch is sticky and returned here.
   Status Append(WalRecord* rec);
 
-  /// Writes + fsyncs all buffered frames (no-op when the buffer is empty).
+  /// Seals the buffered frames (if any) and waits until every appended
+  /// record is durable.
   Status Commit();
 
   /// Commit() under the name abnormal shutdown paths must call. The
-  /// destructor deliberately drops any buffered tail (it cannot report a
+  /// destructor deliberately drops the unsealed tail (it cannot report a
   /// torn write), so an exit path that skips Close()/the normal run end —
   /// comx_serve tearing down on SIGTERM is the canonical one — must
   /// Flush() first or up to a full group-commit batch of journaled steps
   /// is silently lost.
   Status Flush() { return Commit(); }
 
-  /// Commit() + close the descriptor. Further appends are errors.
+  /// Commit() + join the flusher + close the descriptor. Further appends
+  /// are errors.
   Status Close();
 
-  /// Bytes durably on disk (header included) as of the last Commit().
-  int64_t durable_bytes() const { return durable_bytes_; }
-  /// Framed bytes buffered but not yet durable — nonzero at destruction
+  /// Bytes durably on disk (header included): bytes whose fsync has
+  /// finished. Trails the last seal by up to one batch until Commit()
+  /// returns. Safe to read from any thread.
+  int64_t durable_bytes() const {
+    return durable_bytes_.load();
+  }
+  /// Framed bytes buffered but not yet sealed — nonzero at destruction
   /// means records were lost (see Flush()).
   int64_t buffered_bytes() const {
-    return static_cast<int64_t>(buffer_.size());
+    return static_cast<int64_t>(active_.bytes.size());
   }
   /// LSN the next Append() will assign.
   uint64_t next_lsn() const { return next_lsn_; }
   int64_t records_appended() const { return records_appended_; }
+  /// Batches sealed so far (a torn batch is not counted).
   int64_t commits() const { return commits_; }
-  /// durable_bytes() after each successful Commit(), in order — the
-  /// group-commit boundaries. A crash point at one of these offsets models
-  /// a kill between batch fill and fsync: the next batch is fully buffered
-  /// and fully lost (tools/crash_matrix --boundaries).
+  /// File offset at the end of each sealed batch, in order — the
+  /// group-commit boundaries, known at seal time, before the fsync. Once
+  /// Commit() returns the last entry equals durable_bytes(). A crash point
+  /// at one of these offsets models a kill between batch fill and fsync:
+  /// the next batch is fully buffered and fully lost
+  /// (tools/crash_matrix --boundaries).
   const std::vector<int64_t>& commit_offsets() const {
     return commit_offsets_;
   }
 
  private:
+  /// Framed bytes plus the time their first frame was appended.
+  struct Batch {
+    std::string bytes;
+    Stopwatch age;
+  };
+
   WalWriter(int fd, const WalWriterOptions& options, int64_t durable_bytes,
             uint64_t next_lsn, CrashInjector* crash);
 
+  /// Fixes the active batch's durable prefix (crash injection), hands it
+  /// to the flusher and, for a torn batch, waits for it to land.
+  Status Seal();
+  /// Blocks until no sealed batch is in flight; returns the sticky error.
+  Status WaitDurable();
+  void StopFlusher();
+  void FlushLoop();
+  /// write + fsync of one sealed batch (flusher thread).
+  Status WriteBatch(const std::string& bytes);
+
+  // Appending thread only.
   int fd_ = -1;
   WalWriterOptions options_;
   CrashInjector* crash_ = nullptr;  // borrowed, may be null
-  std::string buffer_;              // framed, uncommitted records
+  Batch active_;                    // framed, unsealed records
   int64_t buffered_records_ = 0;
-  int64_t durable_bytes_ = 0;
+  int64_t sealed_bytes_ = 0;        // file offset after the last seal
   uint64_t next_lsn_ = 0;
   int64_t records_appended_ = 0;
   int64_t commits_ = 0;
   std::vector<int64_t> commit_offsets_;
   bool dead_ = false;  // injected crash fired; all writes refused
+
+  // Shared with the flusher. `flushing_` belongs to the flusher while
+  // `in_flight_` is set and to the appender (under `mu_`) otherwise.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Batch flushing_;
+  bool in_flight_ = false;
+  bool stop_ = false;
+  Status error_;                      // sticky write/fsync error
+  std::atomic<bool> failed_{false};   // error_ is set (lock-free check)
+  std::atomic<int64_t> durable_bytes_{0};
+  std::thread flusher_;
 };
 
 /// Result of scanning a WAL file front to back.

@@ -74,6 +74,15 @@ Status Shard::Submit(int64_t local_index, int64_t global_index, Callback cb) {
         StrFormat("shard %d is draining", options_.shard_id));
   }
   if (!failed_.ok()) return failed_;
+  if (local_index != next_local_) {
+    return Status::InvalidArgument(StrFormat(
+        "shard %d: out-of-order submission of event %lld: next local event "
+        "is %lld, got %lld",
+        options_.shard_id, static_cast<long long>(global_index),
+        static_cast<long long>(next_local_),
+        static_cast<long long>(local_index)));
+  }
+  ++next_local_;
   queue_.push_back(Pending{local_index, global_index, std::move(cb)});
   ++acc_submitted_;
   if (!drainer_active_) {
@@ -123,19 +132,6 @@ void Shard::DrainLoop() {
 
 Status Shard::ProcessOne(const Pending& p) {
   Stopwatch sw;
-  if (static_cast<int64_t>(engine_.static_cursor()) != p.local_index) {
-    const Status st = Status::Internal(StrFormat(
-        "shard %d: out-of-order submission: next local event is %zu, got %lld",
-        options_.shard_id, engine_.static_cursor(),
-        static_cast<long long>(p.local_index)));
-    if (p.cb) {
-      ShardDecision d;
-      d.global_index = p.global_index;
-      d.shard = options_.shard_id;
-      p.cb(st, d);
-    }
-    return st;
-  }
   StepRecord last;
   if (Status st = StepPast(p.local_index, &last); !st.ok()) {
     if (p.cb) {
@@ -269,7 +265,7 @@ Result<SimResult> Shard::Drain() {
     }
     Accumulate(rec);
   }
-  SimResult result = engine_.Finish();
+  // kRunEnd reads the engine's running totals, which Finish() moves out.
   if (journal_ != nullptr) {
     if (Status st = journal_->Finish(engine_); !st.ok()) {
       failed_ = st;
@@ -277,6 +273,7 @@ Result<SimResult> Shard::Drain() {
     }
     journal_.reset();
   }
+  SimResult result = engine_.Finish();
   finished_ = true;
   PublishLocked();
   return result;

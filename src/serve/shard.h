@@ -6,8 +6,12 @@
 // work happens on at most ONE drainer task at a time, scheduled onto the
 // shared util::ThreadPool whenever the queue goes non-empty. The engine is
 // therefore single-threaded (determinism preserved) while shards run
-// concurrently. Readers of Stats() never touch the engine — they read the
-// published seqlock cell.
+// concurrently. A shard with a WAL also owns that writer's flusher thread
+// (recovery::WalWriter): the drainer appends and seals batches, the
+// flusher writes + fsyncs them, so a step never waits on the disk unless
+// the previous batch is still in flight when the next one seals. Readers
+// of Stats() never touch the engine — they read the published seqlock
+// cell.
 
 #ifndef COMX_SERVE_SHARD_H_
 #define COMX_SERVE_SHARD_H_
@@ -73,9 +77,11 @@ class Shard {
               const std::vector<OnlineMatcher*>& matchers, const Options& options,
               ThreadPool* pool);
 
-  /// Enqueues local event `local_index` (must be the next unconsumed static
-  /// event — the router submits in order). `cb` may be empty. Fails once
-  /// draining has begun or after a processing error.
+  /// Enqueues local event `local_index`, which must be the next index this
+  /// shard has not yet accepted (the router submits in order). A
+  /// duplicate, stale or skipped index is refused with InvalidArgument and
+  /// leaves the shard healthy. `cb` may be empty. Fails once draining has
+  /// begun or after a processing error.
   Status Submit(int64_t local_index, int64_t global_index, Callback cb);
 
   /// Graceful drain: stops accepting, waits for the queue to empty, then
@@ -85,9 +91,10 @@ class Shard {
   Result<SimResult> Drain();
 
   /// Abnormal-shutdown path: stops accepting, waits for the in-flight
-  /// drainer to finish its queue, then Flush()es the journal tail so the
-  /// WAL is durable up to the last processed step. No run-end record is
-  /// written — recovery sees exactly what a kill at this point would leave.
+  /// drainer to finish its queue, then Flush()es the journal tail and
+  /// returns once the WAL is durable up to the last processed step. No
+  /// run-end record is written — recovery sees exactly what a kill at this
+  /// point would leave.
   Status FlushJournal();
 
   /// Consistent point-in-time counters (seqlock read; any thread).
@@ -135,6 +142,7 @@ class Shard {
   std::deque<Pending> queue_;
   bool drainer_active_ = false;
   bool draining_ = false;
+  int64_t next_local_ = 0;  // the local index Submit() accepts next
   Status failed_;
 
   ShardSnapshot acc_;

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/latency_histogram.h"
+#include "obs/metrics_registry.h"
 #include "util/crc32c.h"
 
 namespace comx {
@@ -142,8 +144,9 @@ std::vector<WalRecord> MakeAllTypeRecords() {
   return recs;
 }
 
-// Writes `recs` with per-record commits; returns the durable byte offset
-// after each record (frame boundaries for the truncation sweep).
+// Writes `recs` with per-record commits; returns the file offset after
+// each record (frame boundaries for the truncation sweep). Every append
+// seals its own batch, so the last commit offset is that record's end.
 std::vector<int64_t> WriteWal(const std::string& path,
                               std::vector<WalRecord> recs) {
   WalWriterOptions options;
@@ -153,10 +156,38 @@ std::vector<int64_t> WriteWal(const std::string& path,
   std::vector<int64_t> offsets;
   for (WalRecord& rec : recs) {
     EXPECT_TRUE((*writer)->Append(&rec).ok());
-    offsets.push_back((*writer)->durable_bytes());
+    offsets.push_back((*writer)->commit_offsets().back());
   }
   EXPECT_TRUE((*writer)->Close().ok());
+  EXPECT_EQ(offsets.back(), (*writer)->durable_bytes());
   return offsets;
+}
+
+// The framed bytes Append() writes for `rec` (its lsn already assigned).
+std::string Frame(const WalRecord& rec) {
+  const std::string payload = EncodeWalPayload(rec);
+  ByteWriter frame;
+  frame.U32(static_cast<uint32_t>(payload.size()));
+  frame.U32(Crc32cMask(Crc32c(payload.data(), payload.size())));
+  return frame.str() + payload;
+}
+
+std::string HeaderBytes() {
+  ByteWriter header;
+  for (char c : kWalMagic) header.U8(static_cast<uint8_t>(c));
+  header.U32(kWalVersion);
+  header.U32(0);
+  return header.Take();
+}
+
+// `copies` rounds of MakeAllTypeRecords(): enough records for several
+// group-commit batches.
+std::vector<WalRecord> ManyRecords(int copies) {
+  std::vector<WalRecord> recs;
+  for (int c = 0; c < copies; ++c) {
+    for (const WalRecord& rec : MakeAllTypeRecords()) recs.push_back(rec);
+  }
+  return recs;
 }
 
 TEST(Crc32cTest, KnownVectorsAndMasking) {
@@ -392,36 +423,68 @@ TEST(WalWriterTest, OpenForAppendResumesLsnSequence) {
 }
 
 TEST(WalWriterTest, InjectedCrashTearsExactlyAtOffset) {
-  const std::string dir = MakeTempDir();
-  const std::string path = dir + "/wal.log";
-  CrashPoint point;
-  point.kind = CrashPoint::Kind::kWalOffset;
-  point.wal_offset = kWalHeaderBytes + 21;  // mid-record, mid-frame
-  CrashInjector injector(point);
+  // Group size 1 tears the first record mid-frame. Group size 3 tears the
+  // third batch, while the second may still be in flight when it seals:
+  // the torn prefix must land after it, and the Append() that sealed the
+  // torn batch reports the crash.
+  for (const int64_t group : {int64_t{1}, int64_t{3}}) {
+    SCOPED_TRACE(::testing::Message() << "group=" << group);
+    const std::string dir = MakeTempDir();
+    const std::string path = dir + "/wal.log";
+    WalWriterOptions options;
+    options.group_commit_records = group;
 
-  WalWriterOptions options;
-  options.group_commit_records = 1;
-  auto writer = WalWriter::Create(path, options, &injector);
-  ASSERT_TRUE(writer.ok());
-  std::vector<WalRecord> recs = MakeAllTypeRecords();
-  Status status = Status::OK();
-  for (WalRecord& rec : recs) {
-    status = (*writer)->Append(&rec);
-    if (!status.ok()) break;
+    // Seal boundaries of the same stream without a crash.
+    std::vector<int64_t> clean;
+    {
+      auto writer = WalWriter::Create(dir + "/clean.log", options, nullptr);
+      ASSERT_TRUE(writer.ok());
+      for (WalRecord rec : MakeAllTypeRecords()) {
+        ASSERT_TRUE((*writer)->Append(&rec).ok());
+      }
+      ASSERT_TRUE((*writer)->Close().ok());
+      clean = (*writer)->commit_offsets();
+    }
+    ASSERT_GE(clean.size(), 3u);
+
+    CrashPoint point;
+    point.kind = CrashPoint::Kind::kWalOffset;
+    // Mid-record, mid-frame: in the first record's batch at group 1, in
+    // the third batch at group 3.
+    point.wal_offset =
+        group == 1 ? kWalHeaderBytes + 21 : clean[1] + 21;
+    ASSERT_LT(point.wal_offset, group == 1 ? clean[0] : clean[2]);
+    CrashInjector injector(point);
+
+    auto writer = WalWriter::Create(path, options, &injector);
+    ASSERT_TRUE(writer.ok());
+    std::vector<WalRecord> recs = MakeAllTypeRecords();
+    Status status = Status::OK();
+    size_t failed_at = recs.size();
+    for (size_t i = 0; i < recs.size(); ++i) {
+      status = (*writer)->Append(&recs[i]);
+      if (!status.ok()) {
+        failed_at = i;
+        break;
+      }
+    }
+    ASSERT_EQ(status.code(), StatusCode::kDataLoss);
+    // The Append() that sealed the torn batch reports it.
+    EXPECT_EQ(failed_at, group == 1 ? 0u : 8u);
+    EXPECT_TRUE(injector.fired());
+    // Once dead, every further write is refused.
+    WalRecord extra = recs[1];
+    EXPECT_EQ((*writer)->Append(&extra).code(), StatusCode::kDataLoss);
+
+    // The file holds exactly the allowed prefix, and the scan tolerates it.
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(static_cast<int64_t>(bytes->size()), point.wal_offset);
+    EXPECT_EQ((*writer)->durable_bytes(), point.wal_offset);
+    auto scan = ScanWal(path);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_TRUE(scan->torn_tail);
   }
-  ASSERT_EQ(status.code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(injector.fired());
-  // Once dead, every further write is refused.
-  WalRecord extra = recs[1];
-  EXPECT_EQ((*writer)->Append(&extra).code(), StatusCode::kDataLoss);
-
-  // The file holds exactly the allowed prefix, and the scan tolerates it.
-  auto bytes = ReadFileBytes(path);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(static_cast<int64_t>(bytes->size()), point.wal_offset);
-  auto scan = ScanWal(path);
-  ASSERT_TRUE(scan.ok());
-  EXPECT_TRUE(scan->torn_tail);
 }
 
 TEST(WalWriterTest, BufferedTailIsLostWithoutFlushAndKeptWithIt) {
@@ -481,17 +544,170 @@ TEST(WalWriterTest, CommitOffsetsRecordGroupBoundaries) {
     WalRecord rec = all[i];
     ASSERT_TRUE((*writer)->Append(&rec).ok());
   }
-  // 7 appends at 3 per group: two full batches committed, one buffered.
+  // 7 appends at 3 per group: two full batches sealed, one buffered.
   EXPECT_EQ((*writer)->commits(), 2);
   ASSERT_EQ((*writer)->commit_offsets().size(), 2u);
   EXPECT_GT((*writer)->commit_offsets()[0], kWalHeaderBytes);
   EXPECT_GT((*writer)->commit_offsets()[1],
             (*writer)->commit_offsets()[0]);
-  EXPECT_EQ((*writer)->commit_offsets()[1], (*writer)->durable_bytes());
+  // The second boundary is the end of record 5's frame; its fsync may
+  // still be in flight, so durable_bytes() lies between the two seals.
+  int64_t end_of_sixth = kWalHeaderBytes;
+  for (size_t i = 0; i < 6; ++i) {
+    WalRecord rec = all[i];
+    rec.lsn = i;
+    end_of_sixth += static_cast<int64_t>(Frame(rec).size());
+  }
+  EXPECT_EQ((*writer)->commit_offsets()[1], end_of_sixth);
+  EXPECT_GE((*writer)->durable_bytes(), (*writer)->commit_offsets()[0]);
+  EXPECT_LE((*writer)->durable_bytes(), (*writer)->commit_offsets()[1]);
   EXPECT_GT((*writer)->buffered_bytes(), 0);
   ASSERT_TRUE((*writer)->Close().ok());
   // Close commits the remainder and records the final boundary.
   EXPECT_EQ((*writer)->commit_offsets().size(), 3u);
+  EXPECT_EQ((*writer)->commit_offsets().back(), (*writer)->durable_bytes());
+}
+
+TEST(WalWriterTest, FileBytesAndCommitOffsetsFollowTheSealRule) {
+  // The pipeline must not move a byte: the file is the header plus every
+  // framed payload, and the seal points are a pure function of record
+  // counts and sizes (the header rides the first batch).
+  struct Config {
+    int64_t records;
+    int64_t bytes;
+  };
+  const std::vector<WalRecord> recs = ManyRecords(12);  // 120 records
+  for (const Config& config : {Config{1, 32 * 1024}, Config{3, 32 * 1024},
+                               Config{32, 32 * 1024}, Config{1000, 700}}) {
+    SCOPED_TRACE(::testing::Message() << "records=" << config.records
+                                      << " bytes=" << config.bytes);
+    const std::string dir = MakeTempDir();
+    const std::string path = dir + "/wal.log";
+    WalWriterOptions options;
+    options.group_commit_records = config.records;
+    options.group_commit_bytes = config.bytes;
+    auto writer = WalWriter::Create(path, options, nullptr);
+    ASSERT_TRUE(writer.ok());
+
+    std::string want = HeaderBytes();
+    std::vector<int64_t> want_offsets;
+    int64_t batch_records = 0;
+    int64_t batch_bytes = static_cast<int64_t>(want.size());
+    for (size_t i = 0; i < recs.size(); ++i) {
+      WalRecord rec = recs[i];
+      ASSERT_TRUE((*writer)->Append(&rec).ok());
+      ASSERT_EQ(rec.lsn, i);
+      const std::string frame = Frame(rec);
+      want += frame;
+      ++batch_records;
+      batch_bytes += static_cast<int64_t>(frame.size());
+      if (batch_records >= config.records || batch_bytes >= config.bytes) {
+        want_offsets.push_back(static_cast<int64_t>(want.size()));
+        batch_records = 0;
+        batch_bytes = 0;
+      }
+    }
+    if (batch_bytes > 0) {
+      want_offsets.push_back(static_cast<int64_t>(want.size()));
+    }
+    ASSERT_TRUE((*writer)->Close().ok());
+    // The byte-threshold config seals mid-stream, never on the count.
+    if (config.records == 1000) {
+      EXPECT_GT(want_offsets.size(), 2u);
+    }
+
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_TRUE(*bytes == want) << bytes->size() << " vs " << want.size();
+    EXPECT_EQ((*writer)->commit_offsets(), want_offsets);
+    EXPECT_EQ((*writer)->commits(), static_cast<int64_t>(want_offsets.size()));
+    EXPECT_EQ((*writer)->durable_bytes(), static_cast<int64_t>(want.size()));
+  }
+}
+
+TEST(WalWriterTest, FlushReturnsWithEverythingDurable) {
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/wal.log";
+  WalWriterOptions options;
+  options.group_commit_records = 3;
+  auto writer = WalWriter::Create(path, options, nullptr);
+  ASSERT_TRUE(writer.ok());
+  for (WalRecord rec : ManyRecords(3)) {
+    ASSERT_TRUE((*writer)->Append(&rec).ok());
+  }
+  ASSERT_TRUE((*writer)->Flush().ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ((*writer)->durable_bytes(), static_cast<int64_t>(bytes->size()));
+  EXPECT_EQ((*writer)->commit_offsets().back(), (*writer)->durable_bytes());
+  EXPECT_EQ((*writer)->buffered_bytes(), 0);
+  auto scan = ScanWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records.size(), 30u);
+  EXPECT_FALSE(scan->torn_tail);
+}
+
+TEST(WalWriterTest, DestructionLandsSealedBatchesAndDropsOnlyTheTail) {
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/wal.log";
+  WalWriterOptions options;
+  options.group_commit_records = 3;
+  std::vector<int64_t> sealed;
+  {
+    auto writer = WalWriter::Create(path, options, nullptr);
+    ASSERT_TRUE(writer.ok());
+    std::vector<WalRecord> recs = MakeAllTypeRecords();
+    for (size_t i = 0; i < 7; ++i) {
+      ASSERT_TRUE((*writer)->Append(&recs[i]).ok());
+    }
+    // The 6th append sealed batch 2, which may still be in flight; the
+    // 7th record is the unsealed tail.
+    sealed = (*writer)->commit_offsets();
+    EXPECT_GT((*writer)->buffered_bytes(), 0);
+  }
+  ASSERT_EQ(sealed.size(), 2u);
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(static_cast<int64_t>(bytes->size()), sealed[1]);
+  auto scan = ScanWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn_tail);
+  EXPECT_EQ(scan->records.size(), 6u);
+}
+
+TEST(WalWriterTest, FlusherErrorIsStickyAndReachesTheNextCall) {
+  // /dev/full accepts the open and fails every write with ENOSPC, so the
+  // flusher's first batch fails after Append() has already returned.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  WalWriterOptions options;
+  options.group_commit_records = 1;
+  auto writer = WalWriter::Create("/dev/full", options, nullptr);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  std::vector<WalRecord> recs = MakeAllTypeRecords();
+  ASSERT_TRUE((*writer)->Append(&recs[0]).ok());  // handed to the flusher
+  EXPECT_EQ((*writer)->Append(&recs[1]).code(), StatusCode::kIoError);
+  EXPECT_EQ((*writer)->Commit().code(), StatusCode::kIoError);
+  EXPECT_EQ((*writer)->Append(&recs[2]).code(), StatusCode::kIoError);
+  EXPECT_EQ((*writer)->Close().code(), StatusCode::kIoError);
+  EXPECT_EQ((*writer)->durable_bytes(), 0);
+}
+
+TEST(WalWriterTest, OneDurabilityLagSamplePerCommit) {
+  obs::SetCollectionEnabled(true);
+  obs::LatencyHistogram* lag = WalDurabilityLagHistogram();
+  const int64_t before = lag->Snapshot().count;
+  const std::string dir = MakeTempDir();
+  WalWriterOptions options;
+  options.group_commit_records = 4;
+  auto writer = WalWriter::Create(dir + "/wal.log", options, nullptr);
+  ASSERT_TRUE(writer.ok());
+  for (WalRecord rec : ManyRecords(2)) {
+    ASSERT_TRUE((*writer)->Append(&rec).ok());
+  }
+  ASSERT_TRUE((*writer)->Close().ok());
+  obs::SetCollectionEnabled(false);
+  EXPECT_EQ((*writer)->commits(), 5);  // 20 records at 4 per batch
+  EXPECT_EQ(lag->Snapshot().count - before, (*writer)->commits());
 }
 
 TEST(WalRecordTest, BoundaryClassification) {

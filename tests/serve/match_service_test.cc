@@ -3,12 +3,19 @@
 // equal one shard exactly on instances whose demand clusters are separated
 // by more than the worker radius; a graceful drain always closes the day
 // with the full-instance Eq. 1 totals; stats reads are safe and consistent
-// under concurrent ingestion (the TSan target).
+// under concurrent ingestion (the TSan target); a bad submission index is
+// refused without poisoning its shard; and the per-shard WALs are durable
+// on FlushJournals(), sealed on Drain(), and byte-identical to
+// RunDurableSimulation's.
 
 #include "serve/match_service.h"
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +24,8 @@
 #include "core/dem_com.h"
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
+#include "recovery/durable_sim.h"
+#include "recovery/wal.h"
 #include "sim/simulator.h"
 #include "testing/builders.h"
 
@@ -299,6 +308,176 @@ TEST(MatchServiceTest, SubmitErrorsAreLoud) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ((*service)->Drain().status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(MatchServiceTest, DuplicateSubmissionIsRejectedAndShardStaysHealthy) {
+  // A repeated, stale or skipped index is the client's mistake: it gets an
+  // error of its own and the shard keeps serving the rest of the stream.
+  const Instance ins = SmallSynthetic();
+  const uint64_t seed = 11;
+  const SimResult batch = BatchRun(ins, MakeDemCom, seed);
+
+  ServiceOptions options;
+  options.shards = 1;
+  options.seed = seed;
+  options.sim = ServeConfig();
+  auto service = MatchService::Create(ins, MakeDemCom, options);
+  ASSERT_TRUE(service.ok());
+  MatchService& svc = **service;
+  ASSERT_GT(svc.event_count(), 5);
+  ASSERT_TRUE(svc.SubmitEvent(0, nullptr).ok());
+  ASSERT_TRUE(svc.SubmitEvent(1, nullptr).ok());
+  EXPECT_EQ(svc.SubmitEvent(1, nullptr).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(svc.SubmitEvent(2, nullptr).ok());
+  EXPECT_EQ(svc.SubmitEvent(0, nullptr).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.SubmitEvent(4, nullptr).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(svc.SubmitEvent(3, nullptr).ok());
+  std::atomic<int64_t> failed{0};
+  for (int64_t i = 4; i < svc.event_count(); ++i) {
+    ASSERT_TRUE(svc.SubmitEvent(i, [&failed](const Status& status,
+                                             const ShardDecision&) {
+                     if (!status.ok()) failed.fetch_add(1);
+                   }).ok())
+        << "event " << i;
+  }
+  auto totals = svc.Drain();
+  ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(totals->total_revenue, batch.metrics.TotalRevenue());
+  EXPECT_EQ(totals->assignments, batch.metrics.Aggregate().completed);
+  EXPECT_EQ(totals->rejected, batch.metrics.Aggregate().rejected);
+  EXPECT_EQ(svc.TotalStats().submitted, svc.event_count());
+}
+
+std::string MakeTempDir() {
+  char tmpl[] = "/tmp/comx_serve_wal_test.XXXXXX";
+  const char* dir = ::mkdtemp(tmpl);
+  EXPECT_NE(dir, nullptr);
+  return dir == nullptr ? std::string("/tmp") : std::string(dir);
+}
+
+std::string ShardWalPath(const std::string& wal_dir, int32_t shard) {
+  return wal_dir + "/shard-" + std::to_string(shard) + "/wal.log";
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return bytes;
+  char chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.append(chunk, n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(MatchServiceTest, FlushJournalsMakesEveryProcessedStepDurable) {
+  const Instance ins = SmallSynthetic(5);
+  ServiceOptions options;
+  options.shards = 2;
+  options.seed = 3;
+  options.sim = ServeConfig();
+  options.wal_dir = MakeTempDir();
+  options.wal.group_commit_records = 8;  // several batches per shard
+  auto service = MatchService::Create(ins, MakeDemCom, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const int64_t half = (*service)->event_count() / 2;
+  for (int64_t i = 0; i < half; ++i) {
+    ASSERT_TRUE((*service)->SubmitEvent(i, nullptr).ok());
+  }
+  ASSERT_TRUE((*service)->FlushJournals().ok());
+
+  const std::vector<ShardSnapshot> stats = (*service)->ShardStats();
+  int64_t steps = 0;
+  for (int32_t k = 0; k < (*service)->shard_count(); ++k) {
+    auto scan = recovery::ScanWal(ShardWalPath(options.wal_dir, k));
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_FALSE(scan->torn_tail) << "shard " << k << ": "
+                                  << scan->tail_warning;
+    EXPECT_FALSE(scan->torn_header) << "shard " << k;
+    EXPECT_EQ(scan->boundary_records, scan->records.size()) << "shard " << k;
+    ASSERT_FALSE(scan->records.empty());
+    EXPECT_EQ(scan->records.front().type, recovery::WalRecordType::kRunBegin);
+    // One terminal record per processed step: nothing processed is lost.
+    int64_t journaled = 0;
+    for (const recovery::WalRecord& rec : scan->records) {
+      if (rec.type == recovery::WalRecordType::kArrival ||
+          rec.type == recovery::WalRecordType::kDecision) {
+        ++journaled;
+      }
+    }
+    EXPECT_EQ(journaled, stats[static_cast<size_t>(k)].steps)
+        << "shard " << k;
+    steps += journaled;
+  }
+  EXPECT_GE(steps, half);
+}
+
+TEST(MatchServiceTest, DrainEndsEveryShardWalWithRunEnd) {
+  const Instance ins = SmallSynthetic(9);
+  ServiceOptions options;
+  options.shards = 2;
+  options.seed = 4;
+  options.sim = ServeConfig();
+  options.wal_dir = MakeTempDir();
+  auto service = MatchService::Create(ins, MakeDemCom, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE((*service)->SubmitAll().ok());
+  auto totals = (*service)->Drain();
+  ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+  for (int32_t k = 0; k < (*service)->shard_count(); ++k) {
+    auto scan = recovery::ScanWal(ShardWalPath(options.wal_dir, k));
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_FALSE(scan->torn_tail) << "shard " << k;
+    ASSERT_FALSE(scan->records.empty());
+    const recovery::WalRecord& end = scan->records.back();
+    EXPECT_EQ(end.type, recovery::WalRecordType::kRunEnd) << "shard " << k;
+    EXPECT_EQ(end.total_revenue,
+              totals->shard_results[static_cast<size_t>(k)]
+                  .metrics.TotalRevenue())
+        << "shard " << k;
+  }
+}
+
+TEST(MatchServiceTest, OneShardWalIsByteIdenticalToDurableSimulation) {
+  // Every WAL producer shares one writer and one step journal, so a
+  // one-shard service journals exactly RunDurableSimulation's bytes.
+  const Instance ins = SmallSynthetic(17);
+  const uint64_t seed = 23;
+
+  ServiceOptions options;
+  options.shards = 1;
+  options.seed = seed;
+  options.sim = ServeConfig();
+  options.wal_dir = MakeTempDir();
+  auto service = MatchService::Create(ins, MakeDemCom, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE((*service)->SubmitAll().ok());
+  ASSERT_TRUE((*service)->Drain().ok());
+
+  std::vector<std::unique_ptr<OnlineMatcher>> owned;
+  std::vector<OnlineMatcher*> matchers;
+  for (int32_t p = 0; p < ins.PlatformCount(); ++p) {
+    owned.push_back(MakeDemCom());
+    matchers.push_back(owned.back().get());
+  }
+  recovery::DurableOptions durable;
+  durable.dir = MakeTempDir();
+  durable.checkpoint_every_steps = 0;
+  auto outcome = recovery::RunDurableSimulation(ins, matchers, ServeConfig(),
+                                                seed, durable);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_FALSE(outcome->crashed);
+
+  const std::string served = ReadFileBytes(ShardWalPath(options.wal_dir, 0));
+  const std::string driven = ReadFileBytes(recovery::WalPath(durable.dir));
+  EXPECT_GT(outcome->stats.wal_commits, 1);
+  EXPECT_EQ(static_cast<int64_t>(driven.size()), outcome->stats.wal_bytes);
+  EXPECT_EQ(served.size(), driven.size());
+  EXPECT_TRUE(served == driven);
 }
 
 }  // namespace

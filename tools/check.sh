@@ -7,7 +7,9 @@
 #                   test that triggered it.
 #   2. tsan       — the concurrency surface (thread pool, sweep engine,
 #                   latency histograms + span profiler, serve shards +
-#                   seqlock stats) under ThreadSanitizer.
+#                   seqlock stats, the WAL writer's flusher pipeline and
+#                   RunDurableSimulation on top of it) under
+#                   ThreadSanitizer.
 #   3. bench      — release bench_sweep reproduced against the committed
 #                   BENCH_sweep.json baseline via bench_check.
 #   4. fuzz       — comx_fuzz --smoke --batch: 200 seeded scenarios through
@@ -23,10 +25,13 @@
 #                   both outputs against the profile schema.
 #   7. crash      — crash_matrix --smoke under ASan: 24 seeded kill points
 #                   (every 4th at a group-commit boundary) recovered
-#                   bit-exact.
+#                   bit-exact; then crash_matrix --boundaries: 100 points,
+#                   each at a group-commit boundary (or, for a run with
+#                   fewer than two commits, a seeded byte offset).
 #   8. serve      — comx_loadgen --smoke against a spawned comx_serve under
-#                   ASan (protocol, drain totals, clean QUIT exit, span
-#                   profile validated by perf_report --check), then a
+#                   ASan with a per-shard WAL (protocol, drain totals, clean
+#                   QUIT exit, span profile validated by perf_report
+#                   --check), then a
 #                   release closed-loop replay reproduced against the
 #                   committed BENCH_serve.json baseline via bench_check.
 #
@@ -56,13 +61,16 @@ if [[ "${COMX_CHECK_SKIP_TSAN:-0}" != "1" ]]; then
   echo "== stage 2/8: thread pool + sweep engine + obs + serve under TSan =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
-    --target comx_util_test comx_exp_test comx_obs_test comx_serve_test
+    --target comx_util_test comx_exp_test comx_obs_test comx_serve_test \
+    comx_recovery_test
   ./build-tsan/tests/comx_util_test \
     --gtest_filter='ThreadPoolTest.*:ParallelForTest.*'
   ./build-tsan/tests/comx_exp_test
   ./build-tsan/tests/comx_obs_test \
     --gtest_filter='*Concurrent*:*Threads*'
   ./build-tsan/tests/comx_serve_test
+  ./build-tsan/tests/comx_recovery_test \
+    --gtest_filter='WalWriterTest.*:DurableSimTest.*'
 else
   echo "== stage 2/8: skipped (COMX_CHECK_SKIP_TSAN=1) =="
 fi
@@ -117,10 +125,11 @@ else
 fi
 
 if [[ "${COMX_CHECK_SKIP_CRASH:-0}" != "1" ]]; then
-  echo "== stage 7/8: crash matrix smoke (recovery bit-exactness, ASan) =="
+  echo "== stage 7/8: crash matrix smoke + boundaries (recovery bit-exactness, ASan) =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "${JOBS}" --target crash_matrix
   ./build-asan/tools/crash_matrix --smoke
+  ./build-asan/tools/crash_matrix --boundaries
 else
   echo "== stage 7/8: skipped (COMX_CHECK_SKIP_CRASH=1) =="
 fi
@@ -133,7 +142,7 @@ if [[ "${COMX_CHECK_SKIP_SERVE:-0}" != "1" ]]; then
   SERVE_PERF="${TMP_DIR}/serve_perf.jsonl"
   ./build-asan/tools/comx_loadgen \
     --spawn-serve ./build-asan/tools/comx_serve --smoke \
-    --perf-out "${SERVE_PERF}"
+    --wal-dir "${TMP_DIR}/serve_wal" --perf-out "${SERVE_PERF}"
   ./build-asan/tools/perf_report --check "${SERVE_PERF}"
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" \

@@ -5,8 +5,13 @@
 //   HELLO            -> "COMX-SERVE v1 events=N shards=K platforms=P"
 //   S <i>            -> async "D <i> <shard> A <latency_ns>"            (arrival)
 //                         or "D <i> <shard> D <outcome> <rev> <latency_ns>"
-//                         or "E <i> <message>" on a submission error
-//   STATS            -> one JSON line (seqlock snapshot; never blocks decisions)
+//                         or "E <i> <message>" on a submission error (a
+//                         duplicate, stale or skipped index included; the
+//                         shard stays healthy), "E -1 bad event index: ..."
+//                         when <i> is not an integer
+//   STATS            -> one JSON line (seqlock snapshot; never blocks decisions;
+//                         durability_lag_p99_us is the WAL's batch
+//                         first-append-to-fsync lag)
 //   METRICS          -> Prometheus text exposition, terminated by a "." line
 //   DRAIN            -> graceful drain-to-completion; "T revenue=<r> assignments=<a>
 //                         inner=<i> outer=<o> rejected=<j>"
@@ -34,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cost_aware.h"
@@ -49,6 +55,7 @@
 #include "obs/exporters.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
+#include "recovery/wal.h"
 #include "serve/match_service.h"
 #include "sim/simulator.h"
 #include "util/signal_guard.h"
@@ -147,12 +154,14 @@ class LineWriter {
 std::string StatsJson(const serve::MatchService& service) {
   const serve::ShardSnapshot total = service.TotalStats();
   const obs::LatencySnapshot lat = service.DecisionLatency();
+  const obs::LatencySnapshot lag =
+      recovery::WalDurabilityLagHistogram()->Snapshot();
   std::string out = StrFormat(
       "{\"events\":%lld,\"shards\":%d,\"submitted\":%lld,\"steps\":%lld,"
       "\"decisions\":%lld,\"inner\":%lld,\"outer\":%lld,\"rejects\":%lld,"
       "\"queue_depth\":%lld,\"revenue\":%.17g,"
       "\"latency_p50_us\":%.3f,\"latency_p99_us\":%.3f,\"latency_p999_us\":%.3f,"
-      "\"per_shard\":[",
+      "\"durability_lag_p99_us\":%.3f,\"per_shard\":[",
       static_cast<long long>(service.event_count()), service.shard_count(),
       static_cast<long long>(total.submitted),
       static_cast<long long>(total.steps),
@@ -161,7 +170,7 @@ std::string StatsJson(const serve::MatchService& service) {
       static_cast<long long>(total.rejects),
       static_cast<long long>(total.queue_depth), total.revenue,
       lat.QuantileMicros(0.50), lat.QuantileMicros(0.99),
-      lat.QuantileMicros(0.999));
+      lat.QuantileMicros(0.999), lag.QuantileMicros(0.99));
   const std::vector<serve::ShardSnapshot> shards = service.ShardStats();
   for (size_t k = 0; k < shards.size(); ++k) {
     out += StrFormat(
@@ -384,7 +393,14 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
           writer->WriteLine(TotalsLine(*totals));
         }
       } else if (line.size() > 2 && line[0] == 'S' && line[1] == ' ') {
-        const int64_t index = std::atoll(line.c_str() + 2);
+        const Result<int64_t> parsed =
+            ParseInt64(std::string_view(line).substr(2));
+        if (!parsed.ok()) {
+          writer->WriteLine(StrFormat("E -1 bad event index: %s",
+                                      parsed.status().ToString().c_str()));
+          continue;
+        }
+        const int64_t index = *parsed;
         LineWriter* w = writer.get();
         const Status st = service->SubmitEvent(
             index, [w](const Status& status, const serve::ShardDecision& d) {

@@ -22,6 +22,9 @@
 //   --boundaries: every point crashes exactly at an interior group-commit
 //            boundary ("killed between batch fill and fsync": the full
 //            buffered batch is lost and must be re-executed on recovery).
+//            A run with fewer than two group commits has no such boundary;
+//            its point falls back to the seeded byte-offset draw and is
+//            counted in the summary line.
 //
 // Exit codes: 0 = every point recovered bit-exact, 1 = violations,
 // 2 = usage/harness error.
@@ -197,7 +200,9 @@ int Main(int argc, char** argv) {
                 ? check::RunBoundaryCrashRecoveryCheck(
                       out.kind, scen[s], inst[s],
                       StrFormat("%s/point_%04zu", dir.c_str(), j),
-                      static_cast<uint64_t>(j / scenarios), checkpoint_every)
+                      static_cast<uint64_t>(j / scenarios),
+                      exp::JobSeed(seed, static_cast<uint64_t>(j)),
+                      checkpoint_every)
                 : check::RunCrashRecoveryCheck(
                       out.kind, scen[s], inst[s],
                       StrFormat("%s/point_%04zu", dir.c_str(), j),
@@ -222,6 +227,7 @@ int Main(int argc, char** argv) {
   int64_t wal_points = 0, ckpt_points = 0, torn_tails = 0;
   int64_t from_checkpoint = 0, from_wal_only = 0;
   int64_t replayed = 0, inflight = 0, fallbacks = 0;
+  int64_t boundary_fallbacks = 0;
   int64_t violations = 0;
   for (const PointOutcome& out : outcomes) {
     if (!out.ran) continue;
@@ -237,6 +243,7 @@ int Main(int argc, char** argv) {
     replayed += out.check.recovery_stats.replayed_records;
     inflight += out.check.recovery_stats.inflight_reserves_resolved;
     fallbacks += out.check.recovery_stats.checkpoint_fallbacks;
+    if (out.check.boundary_fallback) ++boundary_fallbacks;
     violations += static_cast<int64_t>(out.check.violations.size());
   }
   std::printf(
@@ -244,6 +251,7 @@ int Main(int argc, char** argv) {
       "over %lld scenarios: %lld torn tails, %lld recovered from "
       "checkpoint, %lld from WAL alone, %lld records replay-verified, "
       "%lld in-flight reserves resolved, %lld checkpoint fallbacks, "
+      "%lld boundary points fell back: run had < 2 group commits, "
       "%lld violation(s)\n",
       static_cast<long long>(points), static_cast<long long>(wal_points),
       static_cast<long long>(ckpt_points),
@@ -252,6 +260,7 @@ int Main(int argc, char** argv) {
       static_cast<long long>(from_wal_only),
       static_cast<long long>(replayed), static_cast<long long>(inflight),
       static_cast<long long>(fallbacks),
+      static_cast<long long>(boundary_fallbacks),
       static_cast<long long>(violations));
   for (size_t j = 0; j < outcomes.size(); ++j) {
     const PointOutcome& out = outcomes[j];
