@@ -11,10 +11,8 @@
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
 #include "geo/grid_index.h"
-#include "matching/auction.h"
 #include "matching/greedy_offline.h"
 #include "matching/hungarian.h"
-#include "matching/min_cost_flow.h"
 #include "model/constraints.h"
 #include "pricing/mer_pricer.h"
 #include "pricing/min_payment_estimator.h"
@@ -85,16 +83,6 @@ void BM_Hungarian(benchmark::State& state) {
 }
 BENCHMARK(BM_Hungarian)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_MinCostFlow(benchmark::State& state) {
-  const int32_t n = static_cast<int32_t>(state.range(0));
-  const BipartiteGraph g = RandomGraph(n, n, 0.05, 4);
-  for (auto _ : state) {
-    auto m = MinCostFlowMaxWeight(g);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_MinCostFlow)->Arg(100)->Arg(400)->Arg(1000);
-
 void BM_GreedyOffline(benchmark::State& state) {
   const int32_t n = static_cast<int32_t>(state.range(0));
   const BipartiteGraph g = RandomGraph(n, n, 0.05, 5);
@@ -104,16 +92,6 @@ void BM_GreedyOffline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyOffline)->Arg(400)->Arg(1000)->Arg(4000);
-
-void BM_Auction(benchmark::State& state) {
-  const int32_t n = static_cast<int32_t>(state.range(0));
-  const BipartiteGraph g = RandomGraph(n, n, 0.05, 9);
-  for (auto _ : state) {
-    auto m = AuctionMaxWeight(g);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_Auction)->Arg(100)->Arg(400)->Arg(1000);
 
 struct PricingFixture {
   Instance instance;

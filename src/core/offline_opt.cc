@@ -6,12 +6,11 @@
 #include <unordered_map>
 
 #include "geo/grid_index.h"
-#include "matching/greedy_offline.h"
 #include "matching/hungarian.h"
 #include "matching/incremental_km.h"
-#include "matching/min_cost_flow.h"
 #include "model/constraints.h"
 #include "pricing/acceptance_model.h"
+#include "util/string_util.h"
 
 namespace comx {
 
@@ -70,7 +69,7 @@ Result<BipartiteGraph> BuildOfflineGraph(const Instance& instance,
 
 namespace {
 
-// Day-scale relaxed bound (see OfflineConfig::relax_range_when_recycling):
+// Day-scale relaxed bound (see OfflineConfig::worker_capacity):
 // range constraints dropped; inner service = unit slots released K-at-a-
 // time by worker arrivals, chosen by the exact matroid greedy (requests by
 // descending value, each taking the latest free slot released before its
@@ -181,7 +180,11 @@ OfflineSolution SolveRelaxed(const Instance& instance, PlatformId target,
 Result<OfflineSolution> SolveOffline(const Instance& instance,
                                      PlatformId target,
                                      const OfflineConfig& config) {
-  if (config.worker_capacity > 1 && config.relax_range_when_recycling) {
+  if (config.worker_capacity < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "worker_capacity must be >= 1, got %d", config.worker_capacity));
+  }
+  if (config.worker_capacity > 1) {
     return SolveRelaxed(instance, target, config);
   }
   std::vector<RequestId> request_ids;
@@ -197,28 +200,15 @@ Result<OfflineSolution> SolveOffline(const Instance& instance,
   BipartiteMatching matched;
   const int64_t cells = static_cast<int64_t>(graph.left_count()) *
                         static_cast<int64_t>(graph.right_count());
-  if (config.worker_capacity == 1 && cells <= config.dense_cell_limit) {
+  if (cells <= config.dense_cell_limit) {
     COMX_ASSIGN_OR_RETURN(matched, HungarianMaxWeight(graph));
     solution.solver = "hungarian";
-  } else if (config.worker_capacity == 1) {
+  } else {
     // Exact at any scale: the incremental KM touches only the grid-pruned
     // candidate edges, so the 100k-request OFF rows (and hence the
     // empirical CR curves) no longer fall back to approximate solvers.
     COMX_ASSIGN_OR_RETURN(matched, IncrementalKmMaxWeight(graph));
     solution.solver = "incremental_km";
-  } else if (static_cast<int64_t>(graph.edges().size()) <=
-                 config.flow_edge_limit &&
-             static_cast<int64_t>(graph.left_count()) <=
-                 config.flow_left_limit) {
-    std::vector<int32_t> capacity(
-        static_cast<size_t>(graph.right_count()), config.worker_capacity);
-    COMX_ASSIGN_OR_RETURN(matched, MinCostFlowMaxWeight(graph, capacity));
-    solution.solver = "min_cost_flow";
-  } else {
-    std::vector<int32_t> capacity(
-        static_cast<size_t>(graph.right_count()), config.worker_capacity);
-    matched = GreedyMaxWeight(graph, capacity);
-    solution.solver = "greedy";
   }
 
   // Recover per-pair payment/weight: keep the best-weight edge per pair,

@@ -10,11 +10,11 @@
 // the offline adversary "knows" a realization of exactly the acceptance
 // model the online algorithms estimate.
 //
-// Solver selection: dense Hungarian for small graphs, exact sparse
-// min-cost flow for medium graphs, sorted-edge greedy (1/2-approximation,
-// empirically near-optimal in abundant-supply regimes) for day-scale
-// graphs. `worker_capacity` > 1 relaxes the 1-by-1 constraint into a
-// b-matching, modelling workers that recycle during the horizon.
+// Solver selection, one route per worker capacity: with capacity 1 (the
+// strict 1-by-1 constraint) the exact optimum, from dense Hungarian for
+// small graphs and incremental Kuhn–Munkres over the grid-pruned edges
+// otherwise; with capacity > 1 (workers that recycle during the horizon)
+// the relaxed day-scale bound described at OfflineConfig::worker_capacity.
 
 #ifndef COMX_CORE_OFFLINE_OPT_H_
 #define COMX_CORE_OFFLINE_OPT_H_
@@ -32,26 +32,21 @@ namespace comx {
 
 /// Tuning for the offline solver.
 struct OfflineConfig {
-  /// Use dense Hungarian when |R_target| * |W| <= this.
+  /// With worker_capacity == 1, use dense Hungarian when
+  /// |R_target| * |W| <= this and incremental KM above it.
   int64_t dense_cell_limit = 1'000'000;
-  /// Use exact min-cost flow when the edge count <= this AND the number of
-  /// target requests <= flow_left_limit (each matched request costs one
-  /// Dijkstra augmentation, so both dimensions must stay bounded).
-  int64_t flow_edge_limit = 2'000'000;
-  int64_t flow_left_limit = 5'000;
-  /// Service slots per worker (1 = strict 1-by-1 constraint of Def. 2.6;
-  /// >1 models the paper's recycled workers on day-scale datasets).
+  /// Service slots per worker, >= 1 (1 = strict 1-by-1 constraint of
+  /// Def. 2.6; >1 models the paper's recycled workers on day-scale
+  /// datasets). Capacity > 1 also drops the range constraint: recycled
+  /// workers relocate with every drop-off, so over a day a worker can in
+  /// principle reach any request — a bound with the *static* start-location
+  /// ranges is not an upper bound on the mobile online system (it
+  /// demonstrably loses to DemCOM at scale). The paper's own OFF behaves
+  /// this way: its completed counts equal |R|, impossible under static
+  /// ranges and capacity 1. With the range dropped the bound admits a fast
+  /// greedy-exact solution (requests in arrival order against aggregate
+  /// arrived capacity).
   int32_t worker_capacity = 1;
-  /// Day-scale relaxation mode (only with worker_capacity > 1): drop the
-  /// range constraint entirely. Rationale: recycled workers relocate with
-  /// every drop-off, so over a day a worker can in principle reach any
-  /// request — a bound with the *static* start-location ranges is not an
-  /// upper bound on the mobile online system (it demonstrably loses to
-  /// DemCOM at scale). The paper's own OFF behaves this way: its completed
-  /// counts equal |R|, impossible under static ranges and capacity 1.
-  /// With the range dropped the bound admits a fast greedy-exact solution
-  /// (requests in arrival order against aggregate arrived capacity).
-  bool relax_range_when_recycling = true;
   /// Cooperative borrowing on (COM offline) or off (TOTA offline).
   bool allow_outer = true;
   /// Seed for the reservation-payment draws.
@@ -64,7 +59,7 @@ struct OfflineConfig {
 /// An offline solution for one target platform.
 struct OfflineSolution {
   Matching matching;
-  /// "hungarian", "min_cost_flow", "greedy", or "relaxed".
+  /// "hungarian", "incremental_km", or "relaxed".
   std::string solver;
   /// Number of candidate edges considered (0 for the relaxed solver,
   /// which never materializes a graph).
@@ -73,7 +68,7 @@ struct OfflineSolution {
 
 /// Solves OFF for the requests of `target` platform over all workers of the
 /// instance. Requests of other platforms are ignored (the paper reports OFF
-/// per platform).
+/// per platform). Errors with InvalidArgument when worker_capacity < 1.
 Result<OfflineSolution> SolveOffline(const Instance& instance,
                                      PlatformId target,
                                      const OfflineConfig& config = {});

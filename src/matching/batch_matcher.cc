@@ -16,8 +16,6 @@ const char* BatchAlgoName(BatchAlgo algo) {
       return "greedy";
     case BatchAlgo::kHungarian:
       return "hungarian";
-    case BatchAlgo::kAuction:
-      return "auction";
     case BatchAlgo::kIncrementalKm:
       return "incremental_km";
   }
@@ -28,7 +26,6 @@ Result<BatchAlgo> ParseBatchAlgo(std::string_view name) {
   if (name == "auto") return BatchAlgo::kAuto;
   if (name == "greedy") return BatchAlgo::kGreedy;
   if (name == "hungarian") return BatchAlgo::kHungarian;
-  if (name == "auction") return BatchAlgo::kAuction;
   if (name == "incremental_km") return BatchAlgo::kIncrementalKm;
   return Status::InvalidArgument(
       StrFormat("unknown batch algo '%.*s'",
@@ -64,13 +61,10 @@ Result<BipartiteMatching> BatchMatcher::SolveWindow(
     case BatchAlgo::kHungarian:
       last_solver_ = "hungarian";
       return HungarianMaxWeight(graph);
-    case BatchAlgo::kAuction:
-      last_solver_ = "auction";
-      return AuctionMaxWeight(graph, config_.auction);
     case BatchAlgo::kIncrementalKm: {
       last_solver_ = "incremental_km";
       IncrementalKuhnMunkres km(graph.right_count(), config_.km);
-      if (config_.warm_start && !worker_potential_.empty()) {
+      if (!worker_potential_.empty()) {
         std::vector<double> seed(worker_of_column.size(), 0.0);
         for (size_t j = 0; j < worker_of_column.size(); ++j) {
           const auto it = worker_potential_.find(worker_of_column[j]);
@@ -94,11 +88,9 @@ Result<BipartiteMatching> BatchMatcher::SolveWindow(
         (void)row;
       }
       last_dual_gap_ = km.DualFeasibilityGap();
-      if (config_.warm_start) {
-        const std::vector<double>& v = km.column_potentials();
-        for (size_t j = 0; j < worker_of_column.size(); ++j) {
-          worker_potential_[worker_of_column[j]] = v[j];
-        }
+      const std::vector<double>& v = km.column_potentials();
+      for (size_t j = 0; j < worker_of_column.size(); ++j) {
+        worker_potential_[worker_of_column[j]] = v[j];
       }
       return km.Extract();
     }

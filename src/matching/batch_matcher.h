@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "matching/auction.h"
 #include "matching/bipartite_graph.h"
 #include "matching/incremental_km.h"
 #include "model/ids.h"
@@ -32,12 +31,11 @@ enum class BatchAlgo : int32_t {
   kAuto = 0,
   kGreedy = 1,
   kHungarian = 2,
-  kAuction = 3,
   /// Warm-started incremental Kuhn–Munkres with per-worker dual carryover.
   kIncrementalKm = 4,
 };
 
-/// "auto", "greedy", "hungarian", "auction", "incremental_km".
+/// "auto", "greedy", "hungarian", "incremental_km".
 const char* BatchAlgoName(BatchAlgo algo);
 
 /// Inverse of BatchAlgoName; errors with InvalidArgument on unknown names.
@@ -48,10 +46,6 @@ struct BatchMatchConfig {
   BatchAlgo algo = BatchAlgo::kAuto;
   /// kAuto switches from Hungarian to greedy above this many L×R cells.
   int64_t auto_dense_cell_limit = 250'000;
-  /// Carry per-worker duals across windows (kIncrementalKm only).
-  bool warm_start = true;
-  /// Passed through when algo == kAuction.
-  AuctionConfig auction;
   /// Relaxation budget per window when algo == kIncrementalKm.
   IncrementalKuhnMunkres::Config km;
 };

@@ -1,30 +1,20 @@
 // Sorted-edge greedy matching: a fast 1/2-approximation for maximum-weight
-// bipartite matching, with optional per-right-vertex capacities. Used for
-// day-scale OFF instances whose graphs are too large for the exact solvers,
-// and as the capacitated relaxation when workers recycle (see
-// core/offline_opt.h).
+// bipartite matching. BatchMatcher uses it for windows above the dense-cell
+// limit of its auto route and when greedy is asked for by name.
 
 #ifndef COMX_MATCHING_GREEDY_OFFLINE_H_
 #define COMX_MATCHING_GREEDY_OFFLINE_H_
-
-#include <vector>
 
 #include "matching/bipartite_graph.h"
 
 namespace comx {
 
-/// Greedy matching over edges sorted by descending weight.
+/// Greedy matching over edges sorted by descending weight (a stable sort,
+/// so equal weights keep their insertion order). Each vertex is matched at
+/// most once.
 ///
-/// `right_capacity` is the number of left vertices each right vertex may
-/// absorb (1 = plain matching; k models a worker that can serve k requests
-/// over the horizon). Empty vector means capacity 1 everywhere.
-///
-/// Guarantee: total weight >= 1/2 of the optimum (standard greedy bound);
-/// in the abundant-supply regimes of the paper's day-scale tables it is
-/// empirically within a few percent of optimal (see tests).
-BipartiteMatching GreedyMaxWeight(const BipartiteGraph& graph,
-                                  const std::vector<int32_t>& right_capacity =
-                                      {});
+/// Guarantee: total weight >= 1/2 of the optimum (standard greedy bound).
+BipartiteMatching GreedyMaxWeight(const BipartiteGraph& graph);
 
 }  // namespace comx
 

@@ -1,8 +1,9 @@
 // Exact maximum-weight bipartite matching via the Hungarian algorithm
 // (Kuhn–Munkres with potentials, O(n^2 m) on the dense matrix). This is the
 // reference solver behind the paper's OFF baseline (Section II-B) for
-// instances small enough to densify; the sparse min-cost-flow solver
-// (min_cost_flow.h) handles larger graphs and cross-checks this one.
+// instances small enough to densify; the incremental Kuhn–Munkres solver
+// (incremental_km.h) handles larger graphs, and the tests cross-check the
+// two.
 
 #ifndef COMX_MATCHING_HUNGARIAN_H_
 #define COMX_MATCHING_HUNGARIAN_H_

@@ -104,13 +104,6 @@ TEST(OfflineOptTest, WorkerCapacityRelaxationIncreasesRevenue) {
   ASSERT_TRUE(s2.ok());
   EXPECT_DOUBLE_EQ(s2->matching.total_revenue, 12.0);
   EXPECT_EQ(s2->solver, "relaxed");
-  // The static-range capacitated variant agrees here and uses flow.
-  OfflineConfig c3 = c2;
-  c3.relax_range_when_recycling = false;
-  auto s3 = SolveOffline(ins, 0, c3);
-  ASSERT_TRUE(s3.ok());
-  EXPECT_DOUBLE_EQ(s3->matching.total_revenue, 12.0);
-  EXPECT_EQ(s3->solver, "min_cost_flow");
 }
 
 TEST(OfflineOptTest, Capacity1BeyondDenseLimitUsesIncrementalKm) {
@@ -120,27 +113,20 @@ TEST(OfflineOptTest, Capacity1BeyondDenseLimitUsesIncrementalKm) {
   ins.BuildEvents();
   OfflineConfig config;
   config.dense_cell_limit = 0;
-  config.flow_edge_limit = 0;
   auto sol = SolveOffline(ins, 0, config);
   ASSERT_TRUE(sol.ok());
   EXPECT_EQ(sol->solver, "incremental_km");
   EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 5.0);
 }
 
-TEST(OfflineOptTest, SolverFallbackToGreedyOnHugeCapacitatedGraphs) {
-  Instance ins;
-  ins.AddWorker(MakeWorker(0, 1, 0, 0, 2.0));
-  ins.AddRequest(MakeRequest(0, 2, 0.5, 0, 5.0));
-  ins.BuildEvents();
-  OfflineConfig config;
-  config.worker_capacity = 2;
-  config.relax_range_when_recycling = false;
-  config.dense_cell_limit = 0;
-  config.flow_edge_limit = 0;
-  auto sol = SolveOffline(ins, 0, config);
-  ASSERT_TRUE(sol.ok());
-  EXPECT_EQ(sol->solver, "greedy");
-  EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 5.0);
+TEST(OfflineOptTest, RejectsWorkerCapacityBelowOne) {
+  for (const int32_t capacity : {0, -3}) {
+    OfflineConfig config;
+    config.worker_capacity = capacity;
+    auto sol = SolveOffline(PaperExample(), 0, config);
+    EXPECT_EQ(sol.status().code(), StatusCode::kInvalidArgument)
+        << "capacity " << capacity;
+  }
 }
 
 TEST(OfflineOptTest, WorkersWithEmptyHistoryNeverBorrowed) {

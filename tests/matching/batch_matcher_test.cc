@@ -24,12 +24,14 @@ std::vector<WorkerId> IdentityColumns(int32_t right, WorkerId base = 0) {
 TEST(BatchAlgoTest, NameParseRoundTrip) {
   for (BatchAlgo algo :
        {BatchAlgo::kAuto, BatchAlgo::kGreedy, BatchAlgo::kHungarian,
-        BatchAlgo::kAuction, BatchAlgo::kIncrementalKm}) {
+        BatchAlgo::kIncrementalKm}) {
     auto parsed = ParseBatchAlgo(BatchAlgoName(algo));
     ASSERT_TRUE(parsed.ok()) << BatchAlgoName(algo);
     EXPECT_EQ(*parsed, algo);
   }
   EXPECT_EQ(ParseBatchAlgo("hungry").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseBatchAlgo("auction").status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -85,39 +87,6 @@ TEST(BatchMatcherTest, ExactBackendsAgreeWithHungarianPerWindow) {
   }
 }
 
-// Satellite: epsilon-scaling termination makes the auction *exactly* equal
-// to Hungarian on integer-scaled costs — no tolerance.
-TEST(BatchMatcherTest, AuctionEqualsHungarianOnIntegerCosts) {
-  Rng rng(606);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int32_t left = static_cast<int32_t>(rng.UniformInt(0, 12));
-    const int32_t right = static_cast<int32_t>(rng.UniformInt(1, 12));
-    const BipartiteGraph g =
-        RandomIntegerGraph(left, right, 0.6, /*max_weight=*/50, &rng);
-    auto reference = HungarianMaxWeight(g);
-    ASSERT_TRUE(reference.ok());
-    BatchMatchConfig config;
-    config.algo = BatchAlgo::kAuction;
-    config.auction.integer_exact = true;
-    BatchMatcher matcher(config);
-    auto got = matcher.SolveWindow(g, IdentityColumns(right));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->total_weight, reference->total_weight)
-        << "trial " << trial;
-  }
-}
-
-TEST(BatchMatcherTest, IntegerExactAuctionRejectsFractionalWeights) {
-  BipartiteGraph g(1, 1);
-  ASSERT_TRUE(g.AddEdge(0, 0, 1.5).ok());
-  BatchMatchConfig config;
-  config.algo = BatchAlgo::kAuction;
-  config.auction.integer_exact = true;
-  BatchMatcher matcher(config);
-  EXPECT_EQ(matcher.SolveWindow(g, IdentityColumns(1)).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 // Satellite: the dual-feasibility invariant (u_i + v_j <= c_ij) must hold
 // after every warm-started window, and warm starting must never change the
 // per-window optimum.
@@ -125,7 +94,6 @@ TEST(BatchMatcherTest, WarmStartedWindowsStayOptimalAndDualFeasible) {
   Rng rng(31337);
   BatchMatchConfig config;
   config.algo = BatchAlgo::kIncrementalKm;
-  config.warm_start = true;
   BatchMatcher matcher(config);
   // A rolling fleet: consecutive windows share most of their workers, so
   // the carried duals actually hit.
@@ -158,18 +126,17 @@ TEST(BatchMatcherTest, WarmStartedWindowsStayOptimalAndDualFeasible) {
 
 TEST(BatchMatcherTest, ColdIncrementalMatchesWarmIncremental) {
   // Warm starting is a performance lever, not a semantic one: the same
-  // window sequence solved cold must produce the same totals.
+  // window sequence solved cold (carried duals dropped before every
+  // window) must produce the same totals.
   Rng rng_a(55), rng_b(55);
-  BatchMatchConfig warm_config;
-  warm_config.algo = BatchAlgo::kIncrementalKm;
-  warm_config.warm_start = true;
-  BatchMatchConfig cold_config = warm_config;
-  cold_config.warm_start = false;
-  BatchMatcher warm(warm_config), cold(cold_config);
+  BatchMatchConfig config;
+  config.algo = BatchAlgo::kIncrementalKm;
+  BatchMatcher warm(config), cold(config);
   for (int window = 0; window < 20; ++window) {
     const BipartiteGraph g = RandomGraph(6, 6, 0.5, &rng_a);
     const BipartiteGraph h = RandomGraph(6, 6, 0.5, &rng_b);
     auto a = warm.SolveWindow(g, IdentityColumns(6));
+    cold.ResetWarmState();
     auto b = cold.SolveWindow(h, IdentityColumns(6));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());

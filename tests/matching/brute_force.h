@@ -1,4 +1,4 @@
-// Exponential-time reference solvers used to verify the real matchers on
+// Exponential-time reference solver used to verify the real matchers on
 // small random graphs. The random instance builders they are usually paired
 // with live in testing/scenario_fixtures.h (re-exported here so existing
 // includes keep working).
@@ -38,29 +38,6 @@ inline double BruteForceMaxWeight(const BipartiteGraph& g) {
     }
   };
   rec(0, 0.0);
-  return best;
-}
-
-// Max-cardinality matching by the same recursion.
-inline int32_t BruteForceMaxCardinality(const BipartiteGraph& g) {
-  const auto& adj = g.LeftAdjacency();
-  std::vector<char> right_used(static_cast<size_t>(g.right_count()), 0);
-  int32_t best = 0;
-  std::function<void(int32_t, int32_t)> rec = [&](int32_t l, int32_t acc) {
-    if (l == g.left_count()) {
-      best = std::max(best, acc);
-      return;
-    }
-    rec(l + 1, acc);
-    for (int32_t ei : adj[static_cast<size_t>(l)]) {
-      const BipartiteEdge& e = g.edges()[static_cast<size_t>(ei)];
-      if (right_used[static_cast<size_t>(e.right)]) continue;
-      right_used[static_cast<size_t>(e.right)] = 1;
-      rec(l + 1, acc + 1);
-      right_used[static_cast<size_t>(e.right)] = 0;
-    }
-  };
-  rec(0, 0);
   return best;
 }
 

@@ -37,30 +37,6 @@ TEST(GreedyOfflineTest, SkipsNonPositiveWeights) {
   EXPECT_EQ(m.match_of_left[0], -1);
 }
 
-TEST(GreedyOfflineTest, RespectsRightCapacity) {
-  BipartiteGraph g(3, 1);
-  ASSERT_TRUE(g.AddEdge(0, 0, 3.0).ok());
-  ASSERT_TRUE(g.AddEdge(1, 0, 2.0).ok());
-  ASSERT_TRUE(g.AddEdge(2, 0, 1.0).ok());
-  const auto m1 = GreedyMaxWeight(g, {1});
-  EXPECT_EQ(m1.size, 1);
-  EXPECT_DOUBLE_EQ(m1.total_weight, 3.0);
-  const auto m2 = GreedyMaxWeight(g, {2});
-  EXPECT_EQ(m2.size, 2);
-  EXPECT_DOUBLE_EQ(m2.total_weight, 5.0);
-  const auto m99 = GreedyMaxWeight(g, {99});
-  EXPECT_EQ(m99.size, 3);
-  EXPECT_DOUBLE_EQ(m99.total_weight, 6.0);
-}
-
-TEST(GreedyOfflineTest, ZeroCapacityBlocksVertex) {
-  BipartiteGraph g(1, 2);
-  ASSERT_TRUE(g.AddEdge(0, 0, 9.0).ok());
-  ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
-  const auto m = GreedyMaxWeight(g, {0, 1});
-  EXPECT_EQ(m.match_of_left[0], 1);
-}
-
 class GreedyHalfApproxTest : public testing::TestWithParam<int> {};
 
 TEST_P(GreedyHalfApproxTest, AtLeastHalfOfOptimal) {

@@ -37,8 +37,9 @@ inline BipartiteGraph RandomGraph(int32_t left, int32_t right,
   return g;
 }
 
-// Random sparse bipartite graph with integer weights in [1, max_weight],
-// for the integer-exact auction differential tests.
+// Random sparse bipartite graph with integer weights in [1, max_weight]:
+// small max_weight makes many optimal matchings tie, as they do in dispatch
+// windows where every inner edge of a request weighs its value.
 inline BipartiteGraph RandomIntegerGraph(int32_t left, int32_t right,
                                          double edge_prob,
                                          int64_t max_weight, Rng* rng) {

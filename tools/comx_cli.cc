@@ -27,7 +27,7 @@
 //                     (SimConfig::batch_mode); --batch-window sets the
 //                     window length (0 = per-request, bit-identical to the
 //                     window-greedy policy) and --batch-algo the window
-//                     solver (auto|greedy|hungarian|auction|incremental_km);
+//                     solver (auto|greedy|hungarian|incremental_km);
 //                     rt= then reports the mean simulated wait (window
 //                     close − arrival) instead of matcher compute time.
 //                     --trace-out records every first-seed decision as one

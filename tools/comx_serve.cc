@@ -17,6 +17,10 @@
 //                         inner=<i> outer=<o> rejected=<j>"
 //   QUIT             -> "BYE", exit 0
 //
+// Lines end at "\n" ("\r\n" accepted; blank lines ignored). A line over
+// 64 KiB gets one "E -1 line too long" and is discarded up to its newline
+// (serve/line_framer.h).
+//
 // --replay skips TCP entirely: the batch simulator reduced to a thin client
 // that submits every event in order and drains. With --verify it re-runs
 // RunSimulation() on the same instance and requires bit-identical revenue —
@@ -56,6 +60,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "recovery/wal.h"
+#include "serve/line_framer.h"
 #include "serve/match_service.h"
 #include "sim/simulator.h"
 #include "util/signal_guard.h"
@@ -305,7 +310,7 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
 
   int conn_fd = -1;
   std::unique_ptr<LineWriter> writer;
-  std::string inbuf;
+  serve::LineFramer framer;
   bool drained = false;
 
   auto shutdown_exit = [&]() -> int {
@@ -334,7 +339,7 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
     if (conn_fd < 0 && (fds[1].revents & POLLIN) != 0) {
       conn_fd = ::accept(listen_fd, nullptr, nullptr);
       if (conn_fd >= 0) writer = std::make_unique<LineWriter>(conn_fd);
-      inbuf.clear();
+      framer = serve::LineFramer();
       continue;
     }
     if (conn_fd < 0 || (fds[2].revents & (POLLIN | POLLHUP)) == 0) continue;
@@ -347,13 +352,14 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
       writer.reset();
       continue;
     }
-    inbuf.append(chunk, static_cast<size_t>(n));
-    size_t start = 0;
-    for (size_t nl; (nl = inbuf.find('\n', start)) != std::string::npos;
-         start = nl + 1) {
-      std::string line = inbuf.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
+    framer.Append(std::string_view(chunk, static_cast<size_t>(n)));
+    std::string line;
+    for (serve::Frame frame;
+         (frame = framer.Pop(&line)) != serve::Frame::kNone;) {
+      if (frame == serve::Frame::kTooLong) {
+        writer->WriteLine("E -1 line too long");
+        continue;
+      }
       if (line == "QUIT") {
         writer->WriteLine("BYE");
         ::close(conn_fd);
@@ -421,7 +427,6 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
         writer->WriteLine(StrFormat("E -1 unknown command: %s", line.c_str()));
       }
     }
-    inbuf.erase(0, start);
   }
 }
 
