@@ -6,10 +6,12 @@
 // in the WAL (next_lsn, durable wal_bytes). Files are written to a staging
 // path, fsync'd, and renamed into place, so a complete .ckpt file is
 // always internally consistent — a crash mid-write leaves only a torn
-// staging file that recovery ignores. The durable driver writes a
-// checkpoint only after the covering WAL commit, so every record a
-// checkpoint claims (lsn < next_lsn) is durable whenever the checkpoint
-// is.
+// staging file that recovery ignores. The durable driver
+// (recovery::DurableRun::Journal, durable_sim.h) writes a checkpoint only
+// after the covering WAL commit, so every record a checkpoint claims
+// (lsn < next_lsn) is durable whenever the checkpoint is. Runs with
+// checkpoint_every_steps <= 0 — every comx_serve shard among them —
+// write none and recover from the WAL alone.
 //
 // Recovery scans generations newest-first and falls back across corrupt or
 // torn files (flipped bits fail the CRC, truncations fail the length

@@ -3,15 +3,12 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <utility>
 
 #include "obs/metrics_registry.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "recovery/step_journal.h"
-#include "sim/sim_engine.h"
 #include "util/crc32c.h"
 #include "util/string_util.h"
 
@@ -19,33 +16,20 @@ namespace comx {
 namespace recovery {
 namespace {
 
-// BreakerSeenMap / RunIdentity / MakeRunBegin / MakeRunEnd /
-// BuildStepRecords live in recovery/step_journal.h — shared with the serve
-// shards so every WAL producer emits byte-identical record streams.
-
-Status ValidateDurable(const SimConfig& config, const DurableOptions& options) {
-  if (options.dir.empty()) {
-    return Status::InvalidArgument("durable: options.dir is empty");
-  }
-  if (options.keep_checkpoints < 1) {
-    return Status::InvalidArgument("durable: keep_checkpoints must be >= 1");
-  }
-  if (config.measure_response_time) {
-    return Status::FailedPrecondition(
-        "durable: measure_response_time must be off (wall-clock latency is "
-        "not durable state and would break bit-exact recovery)");
-  }
-  if (config.trace != nullptr) {
-    return Status::InvalidArgument(
-        "durable: pass trace = nullptr; the decision trace is rebuilt from "
-        "the WAL (RebuildTraceFromWal)");
-  }
-  return Status::OK();
+WalRecord RunEnd(const SimEngine& engine) {
+  WalRecord rec;
+  rec.type = WalRecordType::kRunEnd;
+  rec.step = engine.step_index();
+  rec.total_revenue = engine.TotalRevenueSoFar();
+  rec.assignments = engine.AssignmentsSoFar();
+  return rec;
 }
 
-bool IsInjectedCrash(const Status& status, const DurableOptions& options) {
-  return !status.ok() && status.code() == StatusCode::kDataLoss &&
-         options.crash != nullptr && options.crash->fired();
+/// A breaker's (state, transitions), the unit of its WAL records.
+std::pair<uint8_t, int64_t> StateAndTransitions(
+    const fault::CircuitBreaker& breaker) {
+  const fault::CircuitBreaker::Snapshot snap = breaker.Save();
+  return {static_cast<uint8_t>(snap.state), snap.transitions};
 }
 
 int64_t FileBytes(const std::string& path) {
@@ -54,62 +38,27 @@ int64_t FileBytes(const std::string& path) {
                                         : -1;
 }
 
-/// Runs the engine from its current position to completion, journaling
-/// every step and checkpointing on cadence. `*generation` is the last
-/// generation already on disk. DataLoss when the crash injector fires.
-Status RunLiveLoop(const Instance& instance, const SimConfig& config,
-                   const RunIdentity& ident, const DurableOptions& options,
-                   SimEngine* engine, WalWriter* wal,
-                   BreakerSeenMap* breaker_seen, int64_t* generation,
-                   DurableRunStats* stats) {
+/// Steps `engine` from where `run` left it to completion, journaling every
+/// step, then finishes both. `status` is the outcome of Start or Recover.
+Result<DurableOutcome> RunToCompletion(DurableRun* run, Status status,
+                                       SimEngine* engine) {
+  DurableOutcome out;
   StepRecord step;
-  std::vector<WalRecord> records;
-  while (!engine->Done()) {
-    COMX_RETURN_IF_ERROR(engine->Step(&step));
-    records.clear();
-    BuildStepRecords(*engine, instance, step, breaker_seen, &records);
-    for (WalRecord& rec : records) {
-      COMX_RETURN_IF_ERROR(wal->Append(&rec));
-    }
-    if (options.checkpoint_every_steps > 0 &&
-        engine->step_index() % options.checkpoint_every_steps == 0) {
-      // WAL first: a checkpoint may only ever claim durable records.
-      COMX_RETURN_IF_ERROR(wal->Commit());
-      ByteWriter state;
-      COMX_RETURN_IF_ERROR(engine->SaveState(&state));
-      CheckpointMeta meta;
-      meta.generation = *generation + 1;
-      meta.next_lsn = wal->next_lsn();
-      meta.wal_bytes = wal->durable_bytes();
-      meta.step_index = engine->step_index();
-      meta.seed = ident.seed;
-      meta.instance_digest = ident.instance_digest;
-      meta.config_digest = ident.config_digest;
-      COMX_RETURN_IF_ERROR(
-          WriteCheckpoint(options.dir, meta, state.str(), options.crash));
-      *generation = meta.generation;
-      ++stats->checkpoints;
-      stats->checkpoint_spans.push_back(CrashProfile::CheckpointSpan{
-          meta.generation, FileBytes(CheckpointPath(options.dir, meta.generation))});
-      WalRecord mark;
-      mark.type = WalRecordType::kCheckpointMark;
-      mark.step = engine->step_index();
-      mark.generation = meta.generation;
-      COMX_RETURN_IF_ERROR(wal->Append(&mark));
-      COMX_RETURN_IF_ERROR(
-          RemoveOldCheckpoints(options.dir, options.keep_checkpoints));
-    }
+  while (status.ok() && !engine->Done()) {
+    status = engine->Step(&step);
+    if (status.ok()) status = run->Journal(*engine, step);
   }
-  WalRecord end = MakeRunEnd(*engine);
-  COMX_RETURN_IF_ERROR(wal->Append(&end));
-  return wal->Close();
-}
-
-void FillWalStats(const WalWriter& wal, DurableRunStats* stats) {
-  stats->wal_records = wal.records_appended();
-  stats->wal_commits = wal.commits();
-  stats->wal_bytes = wal.durable_bytes();
-  stats->wal_commit_offsets = wal.commit_offsets();
+  if (status.ok()) {
+    Result<SimResult> result = run->Finish(engine);
+    status = result.status();
+    if (result.ok()) out.result = std::move(result).value();
+  }
+  out.stats = run->stats();
+  if (!status.ok()) {
+    if (!run->Crashed(status)) return status;
+    out.crashed = true;
+  }
+  return out;
 }
 
 }  // namespace
@@ -171,59 +120,136 @@ uint64_t SimConfigDigest(const SimConfig& config) {
   return Crc32c(w.str().data(), w.size());
 }
 
-Result<DurableOutcome> RunDurableSimulation(
-    const Instance& instance, const std::vector<OnlineMatcher*>& matchers,
-    const SimConfig& config, uint64_t seed, const DurableOptions& options) {
-  COMX_RETURN_IF_ERROR(ValidateDurable(config, options));
-  DurableOutcome out;
-  SimEngine engine;
-  COMX_RETURN_IF_ERROR(engine.Init(instance, matchers, config, seed));
-  if (options.checkpoint_every_steps > 0) {
+DurableRun::DurableRun(const Instance& instance, const SimConfig& config,
+                       uint64_t seed, const DurableOptions& options)
+    : instance_(&instance),
+      config_(&config),
+      options_(options),
+      seed_(seed),
+      instance_digest_(InstanceDigest(instance)),
+      config_digest_(SimConfigDigest(config)) {}
+
+Status DurableRun::Validate() const {
+  if (options_.dir.empty()) {
+    return Status::InvalidArgument("durable: options.dir is empty");
+  }
+  if (options_.keep_checkpoints < 1) {
+    return Status::InvalidArgument("durable: keep_checkpoints must be >= 1");
+  }
+  if (config_->batch_mode) {
+    return Status::InvalidArgument(
+        "durable: batch mode cannot journal to a WAL (window enqueue and "
+        "flush steps carry no per-request decision records)");
+  }
+  if (config_->measure_response_time) {
+    return Status::FailedPrecondition(
+        "durable: measure_response_time must be off (wall-clock latency is "
+        "not durable state and would break bit-exact recovery)");
+  }
+  if (config_->trace != nullptr) {
+    return Status::InvalidArgument(
+        "durable: pass trace = nullptr; the decision trace is rebuilt from "
+        "the WAL (RebuildTraceFromWal)");
+  }
+  return Status::OK();
+}
+
+bool DurableRun::Crashed(const Status& status) const {
+  return !status.ok() && status.code() == StatusCode::kDataLoss &&
+         options_.crash != nullptr && options_.crash->fired();
+}
+
+WalRecord DurableRun::RunBegin() const {
+  WalRecord rec;
+  rec.type = WalRecordType::kRunBegin;
+  rec.seed = seed_;
+  rec.platform_count = instance_->PlatformCount();
+  rec.has_fault_plan = config_->fault_plan != nullptr;
+  rec.instance_digest = instance_digest_;
+  rec.config_digest = config_digest_;
+  return rec;
+}
+
+Status DurableRun::CreateLog() {
+  COMX_ASSIGN_OR_RETURN(
+      wal_, WalWriter::Create(WalPath(options_.dir), options_.wal,
+                              options_.crash));
+  WalRecord begin = RunBegin();
+  return wal_->Append(&begin);
+}
+
+void DurableRun::BuildStepRecords(const SimEngine& engine,
+                                  const StepRecord& step) {
+  records_.clear();
+  const bool decision = step.kind == StepRecord::Kind::kDecision;
+  if (decision && engine.fault_session() != nullptr) {
+    for (const auto& [key, breaker] : engine.fault_session()->breakers()) {
+      const std::pair<uint8_t, int64_t> now = StateAndTransitions(breaker);
+      const auto [it, inserted] = breaker_seen_.try_emplace(key, now);
+      if (!inserted && it->second == now) continue;
+      it->second = now;
+      WalRecord rec;
+      rec.type = WalRecordType::kBreakerState;
+      rec.step = step.step;
+      rec.observer = key.first;
+      rec.partner = key.second;
+      rec.breaker_state = now.first;
+      rec.transitions = now.second;
+      records_.push_back(std::move(rec));
+    }
+    for (const StepReserveEvent& ev : step.reserves) {
+      WalRecord rec;
+      rec.type = ev.reserved ? WalRecordType::kOuterReserve
+                             : WalRecordType::kOuterConflict;
+      rec.step = step.step;
+      rec.request = step.request;
+      rec.observer = step.platform;
+      rec.partner = ev.partner;
+      rec.worker = ev.worker;
+      records_.push_back(std::move(rec));
+    }
+    if (step.outcome == static_cast<int8_t>(Decision::Kind::kOuter)) {
+      WalRecord rec;
+      rec.type = WalRecordType::kOuterConfirm;
+      rec.step = step.step;
+      rec.request = step.request;
+      rec.observer = step.platform;
+      rec.partner = instance_->worker(step.worker).platform;
+      rec.worker = step.worker;
+      records_.push_back(std::move(rec));
+    }
+  }
+  WalRecord rec;
+  rec.type = decision ? WalRecordType::kDecision : WalRecordType::kArrival;
+  rec.step = step.step;
+  rec.step_record = step;
+  rec.step_record.reserves.clear();
+  if (decision) rec.state_digest = engine.StateDigest();
+  records_.push_back(std::move(rec));
+}
+
+Status DurableRun::Start(const SimEngine& engine) {
+  COMX_RETURN_IF_ERROR(Validate());
+  if (options_.checkpoint_every_steps > 0) {
     // Surface matchers without state capture before any work happens.
     ByteWriter probe;
     COMX_RETURN_IF_ERROR(engine.SaveState(&probe));
   }
-
-  std::unique_ptr<WalWriter> wal;
-  COMX_ASSIGN_OR_RETURN(
-      wal, WalWriter::Create(WalPath(options.dir), options.wal, options.crash));
-  const RunIdentity ident{seed, InstanceDigest(instance),
-                          SimConfigDigest(config)};
-  WalRecord begin = MakeRunBegin(ident, instance, config);
-  Status status = wal->Append(&begin);
-  if (status.ok()) {
-    BreakerSeenMap breaker_seen;
-    int64_t generation = 0;
-    status = RunLiveLoop(instance, config, ident, options, &engine, wal.get(),
-                         &breaker_seen, &generation, &out.stats);
-  }
-  FillWalStats(*wal, &out.stats);
-  if (!status.ok()) {
-    if (IsInjectedCrash(status, options)) {
-      out.crashed = true;
-      return out;
-    }
-    return status;
-  }
-  out.result = engine.Finish();
-  return out;
+  return CreateLog();
 }
 
-Result<DurableOutcome> RecoverAndResume(
-    const Instance& instance, const std::vector<OnlineMatcher*>& matchers,
-    const SimConfig& config, uint64_t seed, const DurableOptions& options) {
-  COMX_RETURN_IF_ERROR(ValidateDurable(config, options));
-  DurableOutcome out;
+Status DurableRun::Recover(SimEngine* engine) {
+  COMX_RETURN_IF_ERROR(Validate());
 
   CheckpointPick pick;
-  COMX_ASSIGN_OR_RETURN(pick, FindLatestValidCheckpoint(options.dir));
-  out.stats.checkpoint_fallbacks = pick.fallbacks;
+  COMX_ASSIGN_OR_RETURN(pick, FindLatestValidCheckpoint(options_.dir));
+  stats_.checkpoint_fallbacks = pick.fallbacks;
 
   WalScan scan;
-  COMX_ASSIGN_OR_RETURN(scan, ScanWal(WalPath(options.dir)));
-  out.stats.torn_tail = scan.torn_tail;
-  out.stats.discarded_bytes = scan.file_bytes - scan.boundary_bytes;
-  out.stats.inflight_reserves_resolved = scan.dangling_reserves;
+  COMX_ASSIGN_OR_RETURN(scan, ScanWal(WalPath(options_.dir)));
+  stats_.torn_tail = scan.torn_tail;
+  stats_.discarded_bytes = scan.file_bytes - scan.boundary_bytes;
+  stats_.inflight_reserves_resolved = scan.dangling_reserves;
 
   if (scan.torn_header && pick.best.has_value()) {
     return Status::DataLoss(
@@ -231,42 +257,32 @@ Result<DurableOutcome> RecoverAndResume(
         "refusing to resynthesize a log with missing history");
   }
 
-  const RunIdentity ident{seed, InstanceDigest(instance),
-                          SimConfigDigest(config)};
   if (scan.boundary_records > 0) {
     const WalRecord& first = scan.records.front();
-    if (first.type != WalRecordType::kRunBegin || first.seed != ident.seed ||
-        first.instance_digest != ident.instance_digest ||
-        first.config_digest != ident.config_digest) {
+    if (first.type != WalRecordType::kRunBegin || first.seed != seed_ ||
+        first.instance_digest != instance_digest_ ||
+        first.config_digest != config_digest_) {
       return Status::DataLoss(
           "recovery: WAL belongs to a different run (seed/instance/config "
           "mismatch)");
     }
   }
+  uint64_t replay_from = 0;
   if (pick.best.has_value()) {
     const CheckpointMeta& meta = pick.best->meta;
-    if (meta.seed != ident.seed ||
-        meta.instance_digest != ident.instance_digest ||
-        meta.config_digest != ident.config_digest) {
+    if (meta.seed != seed_ || meta.instance_digest != instance_digest_ ||
+        meta.config_digest != config_digest_) {
       return Status::DataLoss(
           "recovery: checkpoint belongs to a different run");
     }
-  }
-
-  SimEngine engine;
-  COMX_RETURN_IF_ERROR(engine.Init(instance, matchers, config, seed));
-
-  uint64_t replay_from = 0;
-  int64_t generation = 0;
-  if (pick.best.has_value()) {
     ByteReader state(pick.best->state);
-    COMX_RETURN_IF_ERROR(engine.RestoreState(&state));
+    COMX_RETURN_IF_ERROR(engine->RestoreState(&state));
     if (!state.AtEnd()) {
       return Status::DataLoss("recovery: checkpoint state has trailing bytes");
     }
-    replay_from = pick.best->meta.next_lsn;
-    generation = pick.best->meta.generation;
-    out.stats.recovered_generation = generation;
+    replay_from = meta.next_lsn;
+    generation_ = meta.generation;
+    stats_.recovered_generation = generation_;
   }
   if (replay_from > scan.boundary_records) {
     return Status::DataLoss(StrFormat(
@@ -283,7 +299,7 @@ Result<DurableOutcome> RecoverAndResume(
        ++i) {
     const WalRecord& rec = scan.records[i];
     if (rec.type == WalRecordType::kCheckpointMark) {
-      generation = std::max(generation, rec.generation);
+      generation_ = std::max(generation_, rec.generation);
       continue;
     }
     if (rec.type == WalRecordType::kRecoveryMark) continue;
@@ -291,15 +307,11 @@ Result<DurableOutcome> RecoverAndResume(
   }
 
   // Re-execute and byte-verify against the durable records.
-  BreakerSeenMap breaker_seen;
-  if (engine.fault_session() != nullptr) {
-    for (const auto& [key, breaker] : engine.fault_session()->breakers()) {
-      const fault::CircuitBreaker::Snapshot snap = breaker.Save();
-      breaker_seen[key] =
-          BreakerSeen{static_cast<uint8_t>(snap.state), snap.transitions};
+  if (engine->fault_session() != nullptr) {
+    for (const auto& [key, breaker] : engine->fault_session()->breakers()) {
+      breaker_seen_[key] = StateAndTransitions(breaker);
     }
   }
-  bool saw_run_end = false;
   {
     COMX_SPAN("wal_replay");
     size_t vi = 0;
@@ -314,34 +326,30 @@ Result<DurableOutcome> RecoverAndResume(
             WalRecordTypeName(regenerated.type)));
       }
       ++vi;
-      ++out.stats.replayed_records;
+      ++stats_.replayed_records;
       return Status::OK();
     };
     if (replay_from == 0 && !verify.empty()) {
-      const WalRecord begin = MakeRunBegin(ident, instance, config);
-      COMX_RETURN_IF_ERROR(verify_one(begin));
+      COMX_RETURN_IF_ERROR(verify_one(RunBegin()));
     }
     StepRecord step;
-    std::vector<WalRecord> records;
     while (vi < verify.size()) {
       if (scan.records[verify[vi]].type == WalRecordType::kRunEnd) {
-        if (!engine.Done()) {
+        if (!engine->Done()) {
           return Status::DataLoss(
               "recovery: WAL has run_end but re-execution is not done");
         }
-        const WalRecord end = MakeRunEnd(engine);
-        COMX_RETURN_IF_ERROR(verify_one(end));
-        saw_run_end = true;
+        COMX_RETURN_IF_ERROR(verify_one(RunEnd(*engine)));
+        ended_ = true;
         break;
       }
-      if (engine.Done()) {
+      if (engine->Done()) {
         return Status::DataLoss(
             "recovery: re-execution finished before the durable WAL did");
       }
-      COMX_RETURN_IF_ERROR(engine.Step(&step));
-      records.clear();
-      BuildStepRecords(engine, instance, step, &breaker_seen, &records);
-      for (const WalRecord& rec : records) {
+      COMX_RETURN_IF_ERROR(engine->Step(&step));
+      BuildStepRecords(*engine, step);
+      for (const WalRecord& rec : records_) {
         if (vi >= verify.size()) {
           return Status::DataLoss(
               "recovery-bit-exact violation: re-execution generated more "
@@ -353,64 +361,124 @@ Result<DurableOutcome> RecoverAndResume(
   }
 
   // Truncate the torn / mid-step tail and resume appending.
-  std::unique_ptr<WalWriter> wal;
-  Status status = Status::OK();
+  Status status;
   if (scan.torn_header || scan.boundary_records == 0) {
     // Nothing durable — the header is gone, or the crash tore the very
     // first frame so not even kRunBegin survived (a checkpoint cannot
     // coexist with either state: the next_lsn bound above rejects it).
     // Rebuild the log from scratch.
-    COMX_ASSIGN_OR_RETURN(wal, WalWriter::Create(WalPath(options.dir),
-                                                 options.wal, options.crash));
-    WalRecord begin = MakeRunBegin(ident, instance, config);
-    status = wal->Append(&begin);
+    status = CreateLog();
+    if (wal_ == nullptr) return status;
   } else {
     COMX_ASSIGN_OR_RETURN(
-        wal, WalWriter::OpenForAppend(
-                 WalPath(options.dir), options.wal, scan.boundary_bytes,
-                 static_cast<uint64_t>(scan.boundary_records), options.crash));
+        wal_, WalWriter::OpenForAppend(
+                  WalPath(options_.dir), options_.wal, scan.boundary_bytes,
+                  static_cast<uint64_t>(scan.boundary_records),
+                  options_.crash));
   }
   if (status.ok()) {
     WalRecord mark;
     mark.type = WalRecordType::kRecoveryMark;
-    mark.resumed_step = engine.step_index();
+    mark.resumed_step = engine->step_index();
     mark.inflight_reserves = scan.dangling_reserves;
-    status = wal->Append(&mark);
+    status = wal_->Append(&mark);
   }
-  if (status.ok()) {
-    if (saw_run_end) {
-      status = wal->Close();
-    } else {
-      status = RunLiveLoop(instance, config, ident, options, &engine,
-                           wal.get(), &breaker_seen, &generation, &out.stats);
-    }
-  }
-  FillWalStats(*wal, &out.stats);
 
   if (obs::CollectionEnabled()) {
     auto& registry = obs::MetricsRegistry::Global();
     registry
         .GetCounter("comx_recovery_replayed_records_total",
                     "Durable WAL records verified by recovery re-execution")
-        ->Inc(out.stats.replayed_records);
+        ->Inc(stats_.replayed_records);
     registry
         .GetCounter("comx_recovery_inflight_reserves_resolved_total",
                     "Dangling two-phase reserves re-resolved after a crash")
-        ->Inc(out.stats.inflight_reserves_resolved);
+        ->Inc(stats_.inflight_reserves_resolved);
     registry
         .GetCounter("comx_recovery_runs_total", "Recovery attempts completed")
         ->Inc();
   }
+  return status;
+}
 
-  if (!status.ok()) {
-    if (IsInjectedCrash(status, options)) {
-      out.crashed = true;
-      return out;
-    }
-    return status;
+Status DurableRun::Journal(const SimEngine& engine, const StepRecord& step) {
+  BuildStepRecords(engine, step);
+  for (WalRecord& rec : records_) {
+    COMX_RETURN_IF_ERROR(wal_->Append(&rec));
   }
-  out.result = engine.Finish();
-  return out;
+  if (options_.checkpoint_every_steps > 0 &&
+      engine.step_index() % options_.checkpoint_every_steps == 0) {
+    return Checkpoint(engine);
+  }
+  return Status::OK();
+}
+
+Status DurableRun::Checkpoint(const SimEngine& engine) {
+  // WAL first: a checkpoint may only ever claim durable records.
+  COMX_RETURN_IF_ERROR(wal_->Commit());
+  ByteWriter state;
+  COMX_RETURN_IF_ERROR(engine.SaveState(&state));
+  CheckpointMeta meta;
+  meta.generation = generation_ + 1;
+  meta.next_lsn = wal_->next_lsn();
+  meta.wal_bytes = wal_->durable_bytes();
+  meta.step_index = engine.step_index();
+  meta.seed = seed_;
+  meta.instance_digest = instance_digest_;
+  meta.config_digest = config_digest_;
+  COMX_RETURN_IF_ERROR(
+      WriteCheckpoint(options_.dir, meta, state.str(), options_.crash));
+  generation_ = meta.generation;
+  ++stats_.checkpoints;
+  stats_.checkpoint_spans.push_back(CrashProfile::CheckpointSpan{
+      meta.generation,
+      FileBytes(CheckpointPath(options_.dir, meta.generation))});
+  WalRecord mark;
+  mark.type = WalRecordType::kCheckpointMark;
+  mark.step = engine.step_index();
+  mark.generation = meta.generation;
+  COMX_RETURN_IF_ERROR(wal_->Append(&mark));
+  return RemoveOldCheckpoints(options_.dir, options_.keep_checkpoints);
+}
+
+Status DurableRun::Flush() { return wal_->Flush(); }
+
+Result<SimResult> DurableRun::Finish(SimEngine* engine) {
+  if (!ended_) {
+    WalRecord end = RunEnd(*engine);
+    COMX_RETURN_IF_ERROR(wal_->Append(&end));
+  }
+  COMX_RETURN_IF_ERROR(wal_->Close());
+  return engine->Finish();
+}
+
+DurableRunStats DurableRun::stats() const {
+  DurableRunStats stats = stats_;
+  if (wal_ != nullptr) {
+    stats.wal_records = wal_->records_appended();
+    stats.wal_commits = wal_->commits();
+    stats.wal_bytes = wal_->durable_bytes();
+    stats.wal_commit_offsets = wal_->commit_offsets();
+  }
+  return stats;
+}
+
+Result<DurableOutcome> RunDurableSimulation(
+    const Instance& instance, const std::vector<OnlineMatcher*>& matchers,
+    const SimConfig& config, uint64_t seed, const DurableOptions& options) {
+  SimEngine engine;
+  COMX_RETURN_IF_ERROR(engine.Init(instance, matchers, config, seed));
+  DurableRun run(instance, config, seed, options);
+  return RunToCompletion(&run, run.Start(engine), &engine);
+}
+
+Result<DurableOutcome> RecoverAndResume(
+    const Instance& instance, const std::vector<OnlineMatcher*>& matchers,
+    const SimConfig& config, uint64_t seed, const DurableOptions& options) {
+  SimEngine engine;
+  COMX_RETURN_IF_ERROR(engine.Init(instance, matchers, config, seed));
+  DurableRun run(instance, config, seed, options);
+  return RunToCompletion(&run, run.Recover(&engine), &engine);
 }
 
 Status RebuildTraceFromWal(const std::string& wal_path,

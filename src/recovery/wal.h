@@ -1,4 +1,6 @@
-// Write-ahead log for durable simulation runs (see durable_sim.h).
+// Write-ahead log for durable simulation runs. Its one writer in src/ is
+// the durable driver, recovery::DurableRun (durable_sim.h), which every
+// WAL producer goes through: durable runs, recovery and comx_serve shards.
 //
 // File layout: a fixed header (magic + version), then a stream of frames
 //   [u32 payload_len][u32 masked crc32c(payload)][payload]
@@ -19,8 +21,8 @@
 //
 // A record is durable only after the fsync that covers it. Commit(),
 // Flush() and Close() return only once every appended record is durable,
-// so RunDurableSimulation can order every externally visible effect
-// (checkpoint writes, run completion) after the covering Commit().
+// so DurableRun can order every externally visible effect (checkpoint
+// writes, run completion) after the covering Commit().
 //
 // Effects published before Commit() returns are published before they are
 // durable. comx_serve replies as soon as a step is done, so its replies

@@ -64,10 +64,9 @@ Result<std::unique_ptr<MatchService>> MatchService::Create(
     shard_options.wal = options.wal;
     if (!options.wal_dir.empty()) {
       COMX_RETURN_IF_ERROR(EnsureDir(options.wal_dir));
-      const std::string shard_dir =
+      shard_options.wal_dir =
           StrFormat("%s/shard-%d", options.wal_dir.c_str(), k);
-      COMX_RETURN_IF_ERROR(EnsureDir(shard_dir));
-      shard_options.wal_path = shard_dir + "/wal.log";
+      COMX_RETURN_IF_ERROR(EnsureDir(shard_options.wal_dir));
     }
     auto shard = std::make_unique<Shard>();
     COMX_RETURN_IF_ERROR(

@@ -26,13 +26,6 @@ Status Shard::Init(const Instance& instance,
   // the hot path (and SaveState forbids the histogram anyway).
   options_.sim.trace = nullptr;
   options_.sim.measure_response_time = false;
-  // The step journal checkpoints via SaveState, which batch mode refuses
-  // (open windows and warm-started duals are not serialized) — reject the
-  // combination up front instead of failing on the first checkpoint.
-  if (options_.sim.batch_mode && !options_.wal_path.empty()) {
-    return Status::InvalidArgument(StrFormat(
-        "shard %d: batch mode cannot journal to a WAL", options.shard_id));
-  }
   instance_ = &instance;
   pool_ = pool;
   events_ = instance.events().size();
@@ -46,12 +39,15 @@ Status Shard::Init(const Instance& instance,
   }
   COMX_RETURN_IF_ERROR(
       engine_.Init(instance, matchers, options_.sim, options_.seed));
-  if (!options_.wal_path.empty()) {
-    COMX_ASSIGN_OR_RETURN(
-        journal_,
-        recovery::StepJournal::Create(options_.wal_path, options_.wal, instance,
-                                      options_.sim, options_.seed,
-                                      /*crash=*/nullptr));
+  if (!options_.wal_dir.empty()) {
+    recovery::DurableOptions durable;
+    durable.dir = options_.wal_dir;
+    durable.checkpoint_every_steps = 0;
+    durable.wal = options_.wal;
+    auto run = std::make_unique<recovery::DurableRun>(instance, options_.sim,
+                                                      options_.seed, durable);
+    COMX_RETURN_IF_ERROR(run->Start(engine_));
+    durable_ = std::move(run);
   }
   if (obs::CollectionEnabled()) {
     registry_latency_ = obs::MetricsRegistry::Global().GetLatencyHistogram(
@@ -161,15 +157,25 @@ Status Shard::StepPast(int64_t local_index, StepRecord* last) {
   // and do not advance the cursor; the loop drains them, then consumes the
   // static event itself (cursor moves to local_index + 1).
   while (static_cast<int64_t>(engine_.static_cursor()) <= local_index) {
-    StepRecord rec;
-    COMX_RETURN_IF_ERROR(engine_.Step(&rec));
-    if (journal_ != nullptr) {
-      COMX_RETURN_IF_ERROR(journal_->JournalStep(engine_, rec));
-    }
-    Accumulate(rec);
-    *last = std::move(rec);
+    COMX_RETURN_IF_ERROR(StepOnce(last));
   }
   return Status::OK();
+}
+
+Status Shard::StepOnce(StepRecord* rec) {
+  COMX_RETURN_IF_ERROR(engine_.Step(rec));
+  if (durable_ != nullptr) {
+    COMX_RETURN_IF_ERROR(durable_->Journal(engine_, *rec));
+  }
+  Accumulate(*rec);
+  return Status::OK();
+}
+
+Result<SimResult> Shard::CloseOfDay() {
+  StepRecord rec;
+  while (!engine_.Done()) COMX_RETURN_IF_ERROR(StepOnce(&rec));
+  if (durable_ == nullptr) return engine_.Finish();
+  return durable_->Finish(&engine_);
 }
 
 void Shard::Accumulate(const StepRecord& rec) {
@@ -249,31 +255,12 @@ Result<SimResult> Shard::Drain() {
     finished_ = true;
     return SimResult{};
   }
-  // Close of day: consume what the clients never submitted so Finish()'s
-  // Eq. 1 totals cover the whole instance (and match the batch simulator).
-  while (!engine_.Done()) {
-    StepRecord rec;
-    if (Status st = engine_.Step(&rec); !st.ok()) {
-      failed_ = st;
-      return st;
-    }
-    if (journal_ != nullptr) {
-      if (Status st = journal_->JournalStep(engine_, rec); !st.ok()) {
-        failed_ = st;
-        return st;
-      }
-    }
-    Accumulate(rec);
+  Result<SimResult> result = CloseOfDay();
+  if (!result.ok()) {
+    failed_ = result.status();
+    return result.status();
   }
-  // kRunEnd reads the engine's running totals, which Finish() moves out.
-  if (journal_ != nullptr) {
-    if (Status st = journal_->Finish(engine_); !st.ok()) {
-      failed_ = st;
-      return st;
-    }
-    journal_.reset();
-  }
-  SimResult result = engine_.Finish();
+  durable_.reset();
   finished_ = true;
   PublishLocked();
   return result;
@@ -283,8 +270,8 @@ Status Shard::FlushJournal() {
   std::unique_lock<std::mutex> lock(mu_);
   draining_ = true;
   cv_.wait(lock, [this] { return !drainer_active_; });
-  if (journal_ == nullptr) return Status::OK();
-  return journal_->Flush();
+  if (durable_ == nullptr) return Status::OK();
+  return durable_->Flush();
 }
 
 }  // namespace serve

@@ -1,6 +1,7 @@
 // One geo-shard of the always-on matching service: a SimEngine plus its
-// matchers, an MPSC submission queue, an optional per-shard step journal
-// (WAL), a decision-latency histogram, and a seqlock stats cell.
+// matchers, an MPSC submission queue, an optional per-shard durable run
+// (recovery::DurableRun, WAL only: no checkpoint write ever joins the
+// decision path), a decision-latency histogram, and a seqlock stats cell.
 //
 // Threading contract: Submit() may be called from any thread; all engine
 // work happens on at most ONE drainer task at a time, scheduled onto the
@@ -27,7 +28,7 @@
 #include "core/online_matcher.h"
 #include "model/instance.h"
 #include "obs/latency_histogram.h"
-#include "recovery/step_journal.h"
+#include "recovery/durable_sim.h"
 #include "serve/stats_cell.h"
 #include "sim/sim_engine.h"
 #include "sim/simulator.h"
@@ -57,8 +58,9 @@ class Shard {
     /// Per-shard simulation config. The service forces trace off and
     /// measure_response_time off (the serve layer owns latency measurement).
     SimConfig sim;
-    /// Non-empty = journal every step to this WAL file (recovery::StepJournal).
-    std::string wal_path;
+    /// Non-empty = journal every step to `<wal_dir>/wal.log` through a
+    /// WAL-only recovery::DurableRun. The directory must exist.
+    std::string wal_dir;
     recovery::WalWriterOptions wal;
   };
 
@@ -86,8 +88,9 @@ class Shard {
 
   /// Graceful drain: stops accepting, waits for the queue to empty, then
   /// runs the engine to completion on the calling thread (events never
-  /// submitted are consumed locally — "close of day"), finalizes the
-  /// journal, and returns the engine's SimResult. Call at most once.
+  /// submitted are consumed locally — "close of day"), and finishes the
+  /// durable run (kRunEnd, then the engine) or, without a WAL, the engine.
+  /// Returns the engine's SimResult. Call at most once.
   Result<SimResult> Drain();
 
   /// Abnormal-shutdown path: stops accepting, waits for the in-flight
@@ -115,9 +118,15 @@ class Shard {
 
   void DrainLoop();
   Status ProcessOne(const Pending& p);
-  // Steps the engine until the static cursor passes `local_index`,
-  // journaling every step. `last` receives the cursor-advancing record.
+  // Steps the engine until the static cursor passes `local_index`.
+  // `last` receives the cursor-advancing record.
   Status StepPast(int64_t local_index, StepRecord* last);
+  // One engine step, journaled (with a WAL) and accumulated.
+  Status StepOnce(StepRecord* rec);
+  // Close of day: consumes what the clients never submitted, so the Eq. 1
+  // totals cover the whole instance (and match the batch simulator), then
+  // finishes the durable run (kRunEnd, then the engine) or the engine.
+  Result<SimResult> CloseOfDay();
   void Accumulate(const StepRecord& rec);
   void PublishLocked();
   Status WaitQuiesced(std::unique_lock<std::mutex>* lock);
@@ -126,7 +135,7 @@ class Shard {
   const Instance* instance_ = nullptr;
   ThreadPool* pool_ = nullptr;
   SimEngine engine_;
-  std::unique_ptr<recovery::StepJournal> journal_;
+  std::unique_ptr<recovery::DurableRun> durable_;  // null = no WAL
   std::unique_ptr<StatsCell> cell_;
   obs::LatencyHistogram latency_;
   obs::LatencyHistogram* registry_latency_ = nullptr;  // global registry, may be null

@@ -1,7 +1,8 @@
 // End-to-end durability: a durable run equals a plain run bit for bit, a
 // run killed at an arbitrary WAL byte recovers to the same bits, corrupt
-// checkpoints fall back to WAL-only replay, and a tampered-but-CRC-valid
-// record is caught by replay verification (the recovery-bit-exact oracle).
+// checkpoints fall back to WAL-only replay, a tampered-but-CRC-valid
+// record is caught by replay verification (the recovery-bit-exact oracle),
+// and a batch-mode run is refused before it writes anything.
 
 #include "recovery/durable_sim.h"
 
@@ -305,6 +306,36 @@ TEST(DurableSimTest, TamperedRecordWithValidCrcIsCaughtByReplay) {
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss)
       << recovered.status().ToString();
+}
+
+TEST(DurableSimTest, BatchModeIsRefused) {
+  // A batch run's window enqueue and flush steps carry no per-request
+  // decision records, so its WAL could neither be replayed nor rebuilt
+  // into a trace. Both entry points refuse the mode before wal.log exists,
+  // with and without checkpoints.
+  const ScenarioFixture fx = MakeScenario(/*want_fault_plan=*/false);
+  const SimConfig sim = fx.scenario.MakeSimConfig(nullptr, /*batch=*/true);
+  ASSERT_TRUE(sim.batch_mode);
+  const int32_t platforms = fx.instance.PlatformCount();
+  std::vector<std::unique_ptr<OnlineMatcher>> owned;
+  for (const int64_t cadence : {0, 16}) {
+    DurableOptions opts;
+    opts.dir = MakeTempDir();
+    opts.checkpoint_every_steps = cadence;
+    auto run = RunDurableSimulation(
+        fx.instance, Matchers(check::MatcherKind::kTota, platforms, &owned),
+        sim, fx.scenario.sim_seed, opts);
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+        << "cadence=" << cadence << ": " << run.status().ToString();
+    auto recovered = RecoverAndResume(
+        fx.instance, Matchers(check::MatcherKind::kTota, platforms, &owned),
+        sim, fx.scenario.sim_seed, opts);
+    EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+        << "cadence=" << cadence << ": " << recovered.status().ToString();
+    struct stat st;
+    EXPECT_NE(::stat(WalPath(opts.dir).c_str(), &st), 0)
+        << "cadence=" << cadence << ": wal.log was created";
+  }
 }
 
 TEST(DurableSimTest, CrashRecoveryCheckPassesAcrossSeedsAndKinds) {

@@ -5,8 +5,9 @@
 // with the full-instance Eq. 1 totals; stats reads are safe and consistent
 // under concurrent ingestion (the TSan target); a bad submission index is
 // refused without poisoning its shard; and the per-shard WALs are durable
-// on FlushJournals(), sealed on Drain(), and byte-identical to
-// RunDurableSimulation's.
+// on FlushJournals(), sealed on Drain(), byte-identical to
+// RunDurableSimulation's at 1, 2 and 4 shards, recoverable to the
+// uninterrupted shard results, and refused in batch mode.
 
 #include "serve/match_service.h"
 
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/recovery_oracles.h"
 #include "core/dem_com.h"
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
@@ -442,42 +445,158 @@ TEST(MatchServiceTest, DrainEndsEveryShardWalWithRunEnd) {
   }
 }
 
-TEST(MatchServiceTest, OneShardWalIsByteIdenticalToDurableSimulation) {
-  // Every WAL producer shares one writer and one step journal, so a
-  // one-shard service journals exactly RunDurableSimulation's bytes.
+// One matcher per platform of `ins`, owned by `owned`.
+std::vector<OnlineMatcher*> MatchersFor(
+    const Instance& ins,
+    const std::function<std::unique_ptr<OnlineMatcher>()>& factory,
+    std::vector<std::unique_ptr<OnlineMatcher>>* owned) {
+  owned->clear();
+  std::vector<OnlineMatcher*> matchers;
+  for (int32_t p = 0; p < ins.PlatformCount(); ++p) {
+    owned->push_back(factory());
+    matchers.push_back(owned->back().get());
+  }
+  return matchers;
+}
+
+TEST(MatchServiceTest, EveryShardWalIsByteIdenticalToDurableSimulation) {
+  // Every WAL producer journals through one recovery::DurableRun, so each
+  // shard journals exactly the bytes RunDurableSimulation writes for that
+  // shard's sub-instance.
   const Instance ins = SmallSynthetic(17);
   const uint64_t seed = 23;
 
-  ServiceOptions options;
-  options.shards = 1;
-  options.seed = seed;
-  options.sim = ServeConfig();
-  options.wal_dir = MakeTempDir();
-  auto service = MatchService::Create(ins, MakeDemCom, options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ASSERT_TRUE((*service)->SubmitAll().ok());
-  ASSERT_TRUE((*service)->Drain().ok());
+  for (const int32_t shards : {1, 2, 4}) {
+    ServiceOptions options;
+    options.shards = shards;
+    options.seed = seed;
+    options.sim = ServeConfig();
+    options.wal_dir = MakeTempDir();
+    auto service = MatchService::Create(ins, MakeDemCom, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE((*service)->SubmitAll().ok());
+    ASSERT_TRUE((*service)->Drain().ok());
 
-  std::vector<std::unique_ptr<OnlineMatcher>> owned;
-  std::vector<OnlineMatcher*> matchers;
-  for (int32_t p = 0; p < ins.PlatformCount(); ++p) {
-    owned.push_back(MakeDemCom());
-    matchers.push_back(owned.back().get());
+    for (int32_t k = 0; k < shards; ++k) {
+      const Instance& sub =
+          (*service)->plan().instances[static_cast<size_t>(k)];
+      // Every stripe of this fixture holds events, so every shard has a WAL.
+      ASSERT_FALSE(sub.events().empty()) << "shards=" << shards << " " << k;
+      std::vector<std::unique_ptr<OnlineMatcher>> owned;
+      recovery::DurableOptions durable;
+      durable.dir = MakeTempDir();
+      durable.checkpoint_every_steps = 0;
+      auto outcome = recovery::RunDurableSimulation(
+          sub, MatchersFor(sub, MakeDemCom, &owned), ServeConfig(), seed,
+          durable);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      ASSERT_FALSE(outcome->crashed);
+
+      const std::string served =
+          ReadFileBytes(ShardWalPath(options.wal_dir, k));
+      const std::string driven = ReadFileBytes(recovery::WalPath(durable.dir));
+      if (shards == 1) {
+        EXPECT_GT(outcome->stats.wal_commits, 1);
+      }
+      EXPECT_EQ(static_cast<int64_t>(driven.size()), outcome->stats.wal_bytes);
+      EXPECT_EQ(served.size(), driven.size())
+          << "shards=" << shards << " shard " << k;
+      EXPECT_TRUE(served == driven) << "shards=" << shards << " shard " << k;
+    }
   }
-  recovery::DurableOptions durable;
-  durable.dir = MakeTempDir();
-  durable.checkpoint_every_steps = 0;
-  auto outcome = recovery::RunDurableSimulation(ins, matchers, ServeConfig(),
-                                                seed, durable);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ASSERT_FALSE(outcome->crashed);
+}
 
-  const std::string served = ReadFileBytes(ShardWalPath(options.wal_dir, 0));
-  const std::string driven = ReadFileBytes(recovery::WalPath(durable.dir));
-  EXPECT_GT(outcome->stats.wal_commits, 1);
-  EXPECT_EQ(static_cast<int64_t>(driven.size()), outcome->stats.wal_bytes);
-  EXPECT_EQ(served.size(), driven.size());
-  EXPECT_TRUE(served == driven);
+TEST(MatchServiceTest, ServedWalRecoversToTheUninterruptedShardResults) {
+  // The service is stopped the way a signal stops comx_serve: half the
+  // stream submitted, FlushJournals(), then torn down with no kRunEnd.
+  // Each shard's WAL then recovers (WAL only, byte-verified replay) to
+  // exactly what the uninterrupted service's shard produced.
+  SyntheticConfig config;
+  config.platforms = 2;
+  config.requests_per_platform = {120};
+  config.workers_per_platform = {60};
+  config.seed = 29;
+  auto generated = GenerateSynthetic(config);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const Instance& ins = *generated;
+  const uint64_t seed = 31;
+
+  for (const int32_t shards : {1, 2, 4}) {
+    ServiceOptions options;
+    options.shards = shards;
+    options.seed = seed;
+    options.sim = ServeConfig();
+    auto reference = MatchService::Create(ins, MakeDemCom, options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE((*reference)->SubmitAll().ok());
+    auto totals = (*reference)->Drain();
+    ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+
+    options.wal_dir = MakeTempDir();
+    {
+      auto served = MatchService::Create(ins, MakeDemCom, options);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      const int64_t half = (*served)->event_count() / 2;
+      for (int64_t i = 0; i < half; ++i) {
+        ASSERT_TRUE((*served)->SubmitEvent(i, nullptr).ok());
+      }
+      ASSERT_TRUE((*served)->FlushJournals().ok());
+    }
+
+    for (int32_t k = 0; k < shards; ++k) {
+      const Instance& sub =
+          (*reference)->plan().instances[static_cast<size_t>(k)];
+      ASSERT_FALSE(sub.events().empty()) << "shards=" << shards << " " << k;
+      std::vector<std::unique_ptr<OnlineMatcher>> owned;
+      recovery::DurableOptions durable;
+      durable.dir = options.wal_dir + "/shard-" + std::to_string(k);
+      durable.checkpoint_every_steps = 0;
+      auto outcome = recovery::RecoverAndResume(
+          sub, MatchersFor(sub, MakeDemCom, &owned), ServeConfig(), seed,
+          durable);
+      ASSERT_TRUE(outcome.ok())
+          << "shards=" << shards << " shard " << k << ": "
+          << outcome.status().ToString();
+      EXPECT_FALSE(outcome->crashed);
+      EXPECT_GT(outcome->stats.replayed_records, 0)
+          << "shards=" << shards << " shard " << k;
+      for (const check::OracleViolation& v : check::CheckRecoveryEquivalence(
+               totals->shard_results[static_cast<size_t>(k)],
+               outcome->result)) {
+        ADD_FAILURE() << "shards=" << shards << " shard " << k << " "
+                      << v.oracle << ": " << v.detail;
+      }
+    }
+  }
+}
+
+TEST(MatchServiceTest, BatchModeWithWalDirIsRefused) {
+  // Window steps carry no per-request decision records, so a batch shard
+  // cannot journal: Create fails before any shard writes a wal.log. The
+  // same batch service without a WAL runs.
+  const Instance ins = SmallSynthetic();
+  ServiceOptions options;
+  options.shards = 2;
+  options.sim = ServeConfig();
+  options.sim.batch_mode = true;
+  options.sim.batch_window_seconds = 30.0;
+  options.wal_dir = MakeTempDir();
+  auto service = MatchService::Create(ins, MakeTota, options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument)
+      << service.status().ToString();
+  for (int32_t k = 0; k < options.shards; ++k) {
+    EXPECT_NE(::access(ShardWalPath(options.wal_dir, k).c_str(), F_OK), 0)
+        << "shard " << k;
+  }
+
+  options.wal_dir.clear();
+  auto plain = MatchService::Create(ins, MakeTota, options);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE((*plain)->SubmitAll().ok());
+  auto totals = (*plain)->Drain();
+  ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+  EXPECT_GT(totals->assignments, 0);
 }
 
 }  // namespace

@@ -12,10 +12,14 @@
 #                   ThreadSanitizer.
 #   3. bench      — release bench_sweep reproduced against the committed
 #                   BENCH_sweep.json baseline via bench_check.
-#   4. fuzz       — comx_fuzz --smoke --batch: 200 seeded scenarios through
-#                   every matcher with the constraint/differential oracles
-#                   on, each fault-free one also dispatched in micro-batch
-#                   windows (see TESTING.md).
+#   4. fuzz       — comx_fuzz --smoke --batch --crash-check-every 5: 200
+#                   seeded scenarios through every matcher with the
+#                   constraint/differential oracles on, each fault-free one
+#                   also dispatched in micro-batch windows, and every 5th
+#                   one also killed at a seeded WAL/checkpoint byte and
+#                   recovered bit-exact (40 crash-recovery checks, where
+#                   --smoke alone runs 13; stage 7's crash_matrix covers
+#                   the same loop from its own points; see TESTING.md).
 #   5. kernels    — release bench_kernels --smoke reproduced against the
 #                   committed BENCH_kernels.json baseline (the kernel
 #                   layer's cross-backend checksums) via bench_check.
@@ -88,10 +92,10 @@ else
 fi
 
 if [[ "${COMX_CHECK_SKIP_FUZZ:-0}" != "1" ]]; then
-  echo "== stage 4/8: comx_fuzz smoke (200 scenarios, all matchers, batch) =="
+  echo "== stage 4/8: comx_fuzz smoke (200 scenarios, all matchers, batch, crash checks) =="
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" --target comx_fuzz
-  ./build/tools/comx_fuzz --smoke --batch
+  ./build/tools/comx_fuzz --smoke --batch --crash-check-every 5
 else
   echo "== stage 4/8: skipped (COMX_CHECK_SKIP_FUZZ=1) =="
 fi

@@ -24,7 +24,8 @@
 // at N=16.
 //
 //   --smoke: the CI configuration — fixed seed, 200 scenarios, ~5 s.
-//            Exit 0 iff no oracle fired. Stage 4 of tools/check.sh.
+//            Exit 0 iff no oracle fired. Stage 4 of tools/check.sh runs
+//            it as --smoke --batch --crash-check-every 5.
 //
 // Exit codes: 0 = clean, 1 = violations found, 2 = usage/harness error.
 
