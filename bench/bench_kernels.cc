@@ -1,8 +1,8 @@
 // Microbenchmark of the kernel layer (src/kernels/) backing the committed
 // BENCH_kernels.json baseline. For each batch size (1k / 10k / 100k points)
-// it times the batched kernels on the scalar backend and on the dispatched
-// (cpuid-selected) backend, next to the historical per-call paths they
-// replaced, and emits one flat JSON record per (op, path, size).
+// it times the grid-scan kernels on the scalar backend and on the
+// dispatched (cpuid-selected) backend, and EcdfIndex::Evaluate per call,
+// and emits one flat JSON record per (op, path, size).
 //
 // Deterministic fields — "checksum" (fixed-order sum over seeded inputs),
 // "n", "survivors" — are identical on every host and backend (the kernel
@@ -23,12 +23,10 @@
 
 #include "common.h"
 #include "exp/bench_record.h"
-#include "geo/distance.h"
 #include "kernels/dispatch.h"
 #include "kernels/ecdf_batch.h"
 #include "kernels/geo_kernels.h"
 #include "obs/span.h"
-#include "pricing/history.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -75,10 +73,6 @@ double BestSecondsPerPass(F&& f, size_t n, size_t target_elems, int reps) {
 
 // Deterministic per-size inputs, all drawn from one fixed-seed stream.
 struct Inputs {
-  // Geodetic batch (Chengdu-like bounding box) + query point.
-  kernels::GeoTrigBatch trig;
-  std::vector<double> lat, lon;
-  double q_lat = 30.66, q_lon = 104.06;
   // Planar points + per-point service radius² around a probe center.
   std::vector<double> xs, ys, radius2;
   double cx = 0.3, cy = -0.2, range2 = 36.0;
@@ -90,19 +84,15 @@ struct Inputs {
 Inputs MakeInputs(size_t n, size_t worker_count) {
   Inputs in;
   Rng rng(2020 + static_cast<uint64_t>(n));
-  in.trig.Reserve(n);
-  in.lat.reserve(n);
-  in.lon.reserve(n);
   in.xs.reserve(n);
   in.ys.reserve(n);
   in.radius2.reserve(n);
   in.ids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const double lat = rng.Uniform(30.0, 31.5);
-    const double lon = rng.Uniform(104.0, 105.5);
-    in.lat.push_back(lat);
-    in.lon.push_back(lon);
-    in.trig.Add(lat, lon);
+    // Two draws per point go unused. They stay because dropping them would
+    // shift every later draw, and with it every committed checksum.
+    rng.Uniform(30.0, 31.5);
+    rng.Uniform(104.0, 105.5);
     in.xs.push_back(rng.Uniform(-15.0, 15.0));
     in.ys.push_back(rng.Uniform(-15.0, 15.0));
     const double radius = rng.Uniform(1.0, 8.0);
@@ -153,13 +143,9 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
   constexpr size_t kWorkers = 512;
 
-  // Shared worker value-history table: the per-call path keeps one
-  // ValueHistory per worker (pointer-chased vectors), the batch path the
-  // flat EcdfIndex mirror — both built from identical draws.
+  // Shared worker value-history table, unsorted as drawn.
   Rng hist_rng(7);
-  std::vector<ValueHistory> histories;
   kernels::EcdfIndex ecdf;
-  histories.reserve(kWorkers);
   for (size_t w = 0; w < kWorkers; ++w) {
     const int64_t len = hist_rng.UniformInt(0, 64);
     std::vector<double> values;
@@ -167,9 +153,7 @@ int main(int argc, char** argv) {
     for (int64_t i = 0; i < len; ++i) {
       values.push_back(hist_rng.Uniform(5.0, 60.0));
     }
-    histories.emplace_back(std::move(values));
-    ecdf.AddWorker(histories.back().values().data(),
-                   histories.back().values().size());
+    ecdf.AddWorker(values);
   }
 
   Stopwatch wall;
@@ -189,37 +173,6 @@ int main(int argc, char** argv) {
     std::vector<double> buf(n);
     std::vector<int32_t> idx(n);
     std::vector<double> d2(n);
-
-    // -- haversine: per-call reference vs batched kernel per backend --
-    const auto haversine_percall = [&] {
-      for (size_t i = 0; i < n; ++i) {
-        buf[i] = HaversineKm(in.q_lat, in.q_lon, in.lat[i], in.lon[i]);
-      }
-      g_sink += buf[0] + buf[n - 1];
-    };
-    haversine_percall();
-    const double haversine_ref_checksum = Sum(buf);
-    Row percall =
-        TimeRow("kernels.haversine_percall.n" + std::to_string(n), n,
-                haversine_ref_checksum, haversine_percall, target_elems, reps);
-    const double percall_secs = percall.secs_per_pass;
-    records.push_back(std::move(percall.record));
-
-    const auto haversine_batch = [&] {
-      kernels::BatchHaversineKm(in.trig, in.q_lat, in.q_lon, buf.data());
-      g_sink += buf[0] + buf[n - 1];
-    };
-    for (const auto& [path, backend] : backends) {
-      kernels::ForceBackendForTesting(backend);
-      haversine_batch();
-      const double checksum = Sum(buf);
-      Row row = TimeRow("kernels.haversine_batch." + std::string(path) +
-                            ".n" + std::to_string(n),
-                        n, checksum, haversine_batch, target_elems, reps);
-      row.record.numbers["speedup_vs_percall"] =
-          row.secs_per_pass > 0.0 ? percall_secs / row.secs_per_pass : 0.0;
-      records.push_back(std::move(row.record));
-    }
 
     // -- squared distance + fused filter per backend --
     for (const auto& [path, backend] : backends) {
@@ -256,33 +209,17 @@ int main(int argc, char** argv) {
     }
     kernels::ResetDispatchForTesting();
 
-    // -- ECDF: per-call ValueHistory::Ecdf vs flat batched index --
+    // -- ECDF: Definition 3.1 per candidate, one Evaluate call each --
     const auto ecdf_percall = [&] {
       for (size_t i = 0; i < n; ++i) {
-        buf[i] =
-            histories[static_cast<size_t>(in.ids[i])].Ecdf(in.payment);
+        buf[i] = ecdf.Evaluate(in.ids[i], in.payment);
       }
       g_sink += buf[0] + buf[n - 1];
     };
     ecdf_percall();
-    const double ecdf_checksum = Sum(buf);
-    Row ecdf_ref = TimeRow("kernels.ecdf_percall.n" + std::to_string(n), n,
-                           ecdf_checksum, ecdf_percall, target_elems, reps);
-    const double ecdf_percall_secs = ecdf_ref.secs_per_pass;
-    records.push_back(std::move(ecdf_ref.record));
-
-    const auto ecdf_batch = [&] {
-      ecdf.BatchEvaluate(in.ids.data(), n, in.payment, buf.data());
-      g_sink += buf[0] + buf[n - 1];
-    };
-    ecdf_batch();
-    Row ecdf_row = TimeRow("kernels.ecdf_batch.n" + std::to_string(n), n,
-                           Sum(buf), ecdf_batch, target_elems, reps);
-    ecdf_row.record.numbers["speedup_vs_percall"] =
-        ecdf_row.secs_per_pass > 0.0
-            ? ecdf_percall_secs / ecdf_row.secs_per_pass
-            : 0.0;
-    records.push_back(std::move(ecdf_row.record));
+    records.push_back(TimeRow("kernels.ecdf_percall.n" + std::to_string(n),
+                              n, Sum(buf), ecdf_percall, target_elems, reps)
+                          .record);
 
     std::printf("n=%-7zu done\n", n);
   }
@@ -339,13 +276,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "write %s: %s\n", out.c_str(),
                  st.ToString().c_str());
     return 1;
-  }
-  for (const exp::BenchRecord& r : records) {
-    const auto speedup = r.numbers.find("speedup_vs_percall");
-    if (speedup != r.numbers.end()) {
-      std::printf("  %-40s %8.2fx vs per-call\n", r.name.c_str(),
-                  speedup->second);
-    }
   }
   std::printf("wrote %s: %zu records in %.2fs\n", out.c_str(), records.size(),
               wall.ElapsedNanos() / 1e9);

@@ -3,12 +3,6 @@
 #include <cmath>
 
 namespace comx {
-namespace {
-
-constexpr double kEarthRadiusKm = 6371.0088;
-constexpr double kDegToRad = 3.14159265358979323846 / 180.0;
-
-}  // namespace
 
 double SquaredDistance(const Point& a, const Point& b) {
   const double dx = a.x - b.x;
@@ -22,25 +16,6 @@ double EuclideanDistance(const Point& a, const Point& b) {
 
 bool WithinRadius(const Point& a, const Point& b, double radius_km) {
   return SquaredDistance(a, b) <= radius_km * radius_km;
-}
-
-double HaversineKm(double lat1, double lon1, double lat2, double lon2) {
-  const double phi1 = lat1 * kDegToRad;
-  const double phi2 = lat2 * kDegToRad;
-  const double dphi = (lat2 - lat1) * kDegToRad;
-  const double dlambda = (lon2 - lon1) * kDegToRad;
-  const double a = std::sin(dphi / 2) * std::sin(dphi / 2) +
-                   std::cos(phi1) * std::cos(phi2) * std::sin(dlambda / 2) *
-                       std::sin(dlambda / 2);
-  return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(a)));
-}
-
-Point ProjectEquirectangular(double lat, double lon, double origin_lat,
-                             double origin_lon) {
-  const double x = (lon - origin_lon) * kDegToRad * kEarthRadiusKm *
-                   std::cos(origin_lat * kDegToRad);
-  const double y = (lat - origin_lat) * kDegToRad * kEarthRadiusKm;
-  return Point(x, y);
 }
 
 }  // namespace comx

@@ -1,4 +1,4 @@
-// Distance functions between planar points and between raw lat/lon pairs.
+// Distance functions between planar points (km).
 
 #ifndef COMX_GEO_DISTANCE_H_
 #define COMX_GEO_DISTANCE_H_
@@ -15,15 +15,6 @@ double SquaredDistance(const Point& a, const Point& b);
 
 /// True when `b` lies within `radius_km` of `a` (inclusive boundary).
 bool WithinRadius(const Point& a, const Point& b, double radius_km);
-
-/// Great-circle distance in km between (lat, lon) degrees via haversine.
-/// Used only when importing raw coordinate datasets.
-double HaversineKm(double lat1, double lon1, double lat2, double lon2);
-
-/// Projects (lat, lon) degrees to planar km around a reference origin using
-/// the equirectangular approximation (accurate at city scale).
-Point ProjectEquirectangular(double lat, double lon, double origin_lat,
-                             double origin_lon);
 
 }  // namespace comx
 

@@ -17,11 +17,6 @@ size_t ScalarFilterInRange(const double* xs, const double* ys,
                            const double* radius2, size_t n, double cx,
                            double cy, double range2, int32_t* idx_out,
                            double* d2_out);
-void ScalarBatchHaversineA(const double* sin_lat, const double* cos_lat,
-                           const double* sin_lon, const double* cos_lon,
-                           size_t n, double q_sin_lat, double q_cos_lat,
-                           double q_sin_lon, double q_cos_lon,
-                           double* a_out);
 
 #if defined(COMX_KERNELS_HAVE_AVX2)
 void Avx2BatchSquaredDistance(const double* xs, const double* ys, size_t n,
@@ -30,10 +25,6 @@ size_t Avx2FilterInRange(const double* xs, const double* ys,
                          const double* radius2, size_t n, double cx,
                          double cy, double range2, int32_t* idx_out,
                          double* d2_out);
-void Avx2BatchHaversineA(const double* sin_lat, const double* cos_lat,
-                         const double* sin_lon, const double* cos_lon,
-                         size_t n, double q_sin_lat, double q_cos_lat,
-                         double q_sin_lon, double q_cos_lon, double* a_out);
 #endif  // COMX_KERNELS_HAVE_AVX2
 
 }  // namespace internal

@@ -1,8 +1,6 @@
 #include "kernels/dispatch.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "kernels/backends.h"
 
@@ -14,14 +12,12 @@ namespace {
 constexpr KernelTable kScalarTable = {
     &ScalarBatchSquaredDistance,
     &ScalarFilterInRange,
-    &ScalarBatchHaversineA,
 };
 
 #if defined(COMX_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
     &Avx2BatchSquaredDistance,
     &Avx2FilterInRange,
-    &Avx2BatchHaversineA,
 };
 #endif
 
@@ -30,19 +26,10 @@ constexpr KernelTable kAvx2Table = {
 std::atomic<const KernelTable*> g_active{nullptr};
 
 const KernelTable* Resolve() {
-  return TableFor(ResolveBackend(std::getenv("COMX_FORCE_SCALAR")));
+  return TableFor(Avx2Supported() ? Backend::kAvx2 : Backend::kScalar);
 }
 
 }  // namespace
-
-Backend ResolveBackend(const char* force_scalar_env) {
-  // Any value except unset, "" and "0" forces the scalar backend.
-  if (force_scalar_env != nullptr && force_scalar_env[0] != '\0' &&
-      std::strcmp(force_scalar_env, "0") != 0) {
-    return Backend::kScalar;
-  }
-  return Avx2Supported() ? Backend::kAvx2 : Backend::kScalar;
-}
 
 const KernelTable* TableFor(Backend backend) {
   switch (backend) {

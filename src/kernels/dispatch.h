@@ -3,8 +3,8 @@
 // The kernels in geo_kernels.h ship a portable scalar implementation plus
 // an AVX2 one (when the build and the CPU both support it). The backend is
 // chosen exactly once, SimSIMD-style, via a function-pointer table: cpuid
-// decides, COMX_FORCE_SCALAR=1 in the environment overrides to scalar, and
-// tests can pin either backend explicitly. Both backends are contractually
+// alone decides, and tests and bench_kernels can pin either backend
+// through ForceBackendForTesting. Both backends are contractually
 // bit-identical: every kernel evaluates the same IEEE double expression
 // tree per element (no FMA contraction, no reassociation) and emits
 // results in the same fixed order, so which backend ran is unobservable in
@@ -29,8 +29,7 @@ const char* BackendName(Backend backend);
 bool Avx2Supported();
 
 /// The backend the dispatch table currently routes to. Resolved on first
-/// use: COMX_FORCE_SCALAR (any value but "" / "0") forces scalar, else the
-/// best supported backend wins.
+/// use: the best backend cpuid reports as supported.
 Backend ActiveBackend();
 
 /// Pins the dispatch table to `backend` (kAvx2 requires Avx2Supported()).
@@ -38,8 +37,8 @@ Backend ActiveBackend();
 /// both backends in one process. Returns false when unsupported.
 bool ForceBackendForTesting(Backend backend);
 
-/// Re-resolves the dispatch table from the environment + cpuid, undoing
-/// ForceBackendForTesting and re-reading COMX_FORCE_SCALAR.
+/// Re-resolves the dispatch table from cpuid, undoing
+/// ForceBackendForTesting.
 void ResetDispatchForTesting();
 
 namespace internal {
@@ -54,11 +53,6 @@ struct KernelTable {
                             const double* radius2, size_t n, double cx,
                             double cy, double range2, int32_t* idx_out,
                             double* d2_out);
-  void (*batch_haversine_a)(const double* sin_lat, const double* cos_lat,
-                            const double* sin_lon, const double* cos_lon,
-                            size_t n, double q_sin_lat, double q_cos_lat,
-                            double q_sin_lon, double q_cos_lon,
-                            double* a_out);
 };
 
 /// The active table (resolved once, atomically published).
@@ -66,11 +60,6 @@ const KernelTable& Active();
 
 /// The table for one backend; kAvx2 returns nullptr when unsupported.
 const KernelTable* TableFor(Backend backend);
-
-/// Backend resolution given an environment value for COMX_FORCE_SCALAR
-/// (nullptr = unset). Split out so the env contract is unit-testable
-/// without mutating the process environment.
-Backend ResolveBackend(const char* force_scalar_env);
 
 }  // namespace internal
 

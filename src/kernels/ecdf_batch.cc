@@ -1,5 +1,6 @@
 #include "kernels/ecdf_batch.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/span.h"
@@ -35,18 +36,20 @@ void EcdfIndex::Reserve(size_t workers, size_t total_values) {
   size_.reserve(workers);
 }
 
-void EcdfIndex::AddWorker(const double* sorted_values, size_t n) {
-  if (offsets_.empty()) offsets_.push_back(0);
-  values_.insert(values_.end(), sorted_values, sorted_values + n);
+void EcdfIndex::AddWorker(std::span<const double> history) {
+  const size_t begin = values_.size();
+  values_.insert(values_.end(), history.begin(), history.end());
+  std::sort(values_.begin() + static_cast<std::ptrdiff_t>(begin),
+            values_.end());
   offsets_.push_back(values_.size());
-  if (n == 0) {
+  if (history.empty()) {
     min_.push_back(std::numeric_limits<double>::infinity());
     max_.push_back(-std::numeric_limits<double>::infinity());
   } else {
-    min_.push_back(sorted_values[0]);
-    max_.push_back(sorted_values[n - 1]);
+    min_.push_back(values_[begin]);
+    max_.push_back(values_.back());
   }
-  size_.push_back(static_cast<double>(n));
+  size_.push_back(static_cast<double>(history.size()));
 }
 
 double EcdfIndex::Evaluate(int64_t w, double payment) const {
@@ -60,14 +63,6 @@ double EcdfIndex::Evaluate(int64_t w, double payment) const {
       UpperBoundCount(values_.data() + begin, offsets_[i + 1] - begin,
                       payment);
   return static_cast<double>(count) / size_[i];
-}
-
-void EcdfIndex::BatchEvaluate(const int64_t* ids, size_t n, double payment,
-                              double* probs_out) const {
-  COMX_SPAN("ecdf_eval");
-  for (size_t i = 0; i < n; ++i) {
-    probs_out[i] = Evaluate(ids[i], payment);
-  }
 }
 
 void EcdfIndex::EvaluateAscending(int64_t w, const double* payments, size_t n,

@@ -1,18 +1,27 @@
-// Public kernel entry points (dispatch trampolines), the scalar backend,
-// and the GeoTrigBatch container. The scalar loops below are the reference
-// semantics: the AVX2 backend mirrors them lane for lane and calls them on
-// its tails.
+// Public kernel entry points (dispatch trampolines) and the scalar backend.
+// The scalar loops below are the reference semantics: the AVX2 backend
+// mirrors SquaredDistanceExpr with one intrinsic per arithmetic node
+// (mul/add/sub only — never FMA), lane for lane, and calls these loops on
+// its tails, so there is a single source of truth for the math.
 
 #include "kernels/geo_kernels.h"
 
-#include <cmath>
-
 #include "kernels/backends.h"
-#include "kernels/kernel_table_inl.h"
 
 namespace comx {
 namespace kernels {
 namespace internal {
+namespace {
+
+// (x - cx)^2 + (y - cy)^2 — the exact expression GridIndex and
+// geo::SquaredDistance evaluate, node for node.
+inline double SquaredDistanceExpr(double x, double y, double cx, double cy) {
+  const double dx = x - cx;
+  const double dy = y - cy;
+  return dx * dx + dy * dy;
+}
+
+}  // namespace
 
 void ScalarBatchSquaredDistance(const double* xs, const double* ys, size_t n,
                                 double cx, double cy, double* d2_out) {
@@ -37,17 +46,6 @@ size_t ScalarFilterInRange(const double* xs, const double* ys,
   return out;
 }
 
-void ScalarBatchHaversineA(const double* sin_lat, const double* cos_lat,
-                           const double* sin_lon, const double* cos_lon,
-                           size_t n, double q_sin_lat, double q_cos_lat,
-                           double q_sin_lon, double q_cos_lon,
-                           double* a_out) {
-  for (size_t i = 0; i < n; ++i) {
-    a_out[i] = HaversineAExpr(sin_lat[i], cos_lat[i], sin_lon[i], cos_lon[i],
-                              q_sin_lat, q_cos_lat, q_sin_lon, q_cos_lon);
-  }
-}
-
 }  // namespace internal
 
 void BatchSquaredDistance(const double* xs, const double* ys, size_t n,
@@ -60,69 +58,6 @@ size_t FilterInRange(const double* xs, const double* ys,
                      double range2, int32_t* idx_out, double* d2_out) {
   return internal::Active().filter_in_range(xs, ys, radius2, n, cx, cy,
                                             range2, idx_out, d2_out);
-}
-
-void GeoTrigBatch::Add(double lat_deg, double lon_deg) {
-  const double phi = lat_deg * internal::kDegToRad;
-  const double lam = lon_deg * internal::kDegToRad;
-  sin_lat_.push_back(std::sin(phi));
-  cos_lat_.push_back(std::cos(phi));
-  sin_lon_.push_back(std::sin(lam));
-  cos_lon_.push_back(std::cos(lam));
-  lat_deg_.push_back(lat_deg);
-  lon_deg_.push_back(lon_deg);
-}
-
-void GeoTrigBatch::Reserve(size_t n) {
-  sin_lat_.reserve(n);
-  cos_lat_.reserve(n);
-  sin_lon_.reserve(n);
-  cos_lon_.reserve(n);
-  lat_deg_.reserve(n);
-  lon_deg_.reserve(n);
-}
-
-void GeoTrigBatch::Clear() {
-  sin_lat_.clear();
-  cos_lat_.clear();
-  sin_lon_.clear();
-  cos_lon_.clear();
-  lat_deg_.clear();
-  lon_deg_.clear();
-}
-
-void BatchHaversineKm(const GeoTrigBatch& batch, double query_lat_deg,
-                      double query_lon_deg, double* km_out) {
-  const double phi = query_lat_deg * internal::kDegToRad;
-  const double lam = query_lon_deg * internal::kDegToRad;
-  const double q_slat = std::sin(phi);
-  const double q_clat = std::cos(phi);
-  const double q_slon = std::sin(lam);
-  const double q_clon = std::cos(lam);
-  const size_t n = batch.size();
-  // The dispatched part writes the "a" terms into km_out in place; the
-  // shared scalar epilogue then maps them to km. One pass each keeps the
-  // vector body branch-free and the transcendental path identical across
-  // backends.
-  internal::Active().batch_haversine_a(batch.sin_lat(), batch.cos_lat(),
-                                       batch.sin_lon(), batch.cos_lon(), n,
-                                       q_slat, q_clat, q_slon, q_clon,
-                                       km_out);
-  for (size_t i = 0; i < n; ++i) {
-    km_out[i] = internal::HaversineFinishKm(km_out[i]);
-  }
-}
-
-double HaversineViaTrigKm(double lat1_deg, double lon1_deg, double lat2_deg,
-                          double lon2_deg) {
-  const double phi1 = lat1_deg * internal::kDegToRad;
-  const double lam1 = lon1_deg * internal::kDegToRad;
-  const double phi2 = lat2_deg * internal::kDegToRad;
-  const double lam2 = lon2_deg * internal::kDegToRad;
-  const double a = internal::HaversineAExpr(
-      std::sin(phi2), std::cos(phi2), std::sin(lam2), std::cos(lam2),
-      std::sin(phi1), std::cos(phi1), std::sin(lam1), std::cos(lam1));
-  return internal::HaversineFinishKm(a);
 }
 
 }  // namespace kernels

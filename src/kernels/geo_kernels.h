@@ -1,7 +1,6 @@
-// Batched distance / eligibility kernels over SoA coordinate arrays — the
-// matchers' hot path (grid-index candidate scoring) and the raw-coordinate
-// import path (haversine), evaluated a whole array at a time instead of one
-// pointer-chased record per call.
+// Batched squared-distance and range-filter kernels over SoA coordinate
+// arrays — the matchers' hot path (grid-index candidate scoring), evaluated
+// a whole array at a time instead of one pointer-chased record per call.
 //
 // Every kernel dispatches through kernels/dispatch.h (scalar or AVX2,
 // chosen once at startup) and every backend is bit-identical: same IEEE
@@ -13,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "kernels/dispatch.h"
 
@@ -32,47 +30,6 @@ void BatchSquaredDistance(const double* xs, const double* ys, size_t n,
 size_t FilterInRange(const double* xs, const double* ys,
                      const double* radius2, size_t n, double cx, double cy,
                      double range2, int32_t* idx_out, double* d2_out);
-
-/// SoA batch of geodetic points with the per-point trig precomputed once at
-/// insert time (sin/cos of latitude *and* longitude): the batched haversine
-/// needs no per-element libm trig beyond one asin. The scalar fallback path
-/// shares exactly this precompute — there is one trig-precompute code path
-/// for both backends.
-class GeoTrigBatch {
- public:
-  /// Appends one (lat, lon) degree point, precomputing its trig.
-  void Add(double lat_deg, double lon_deg);
-
-  void Reserve(size_t n);
-  void Clear();
-  size_t size() const { return sin_lat_.size(); }
-
-  const double* sin_lat() const { return sin_lat_.data(); }
-  const double* cos_lat() const { return cos_lat_.data(); }
-  const double* sin_lon() const { return sin_lon_.data(); }
-  const double* cos_lon() const { return cos_lon_.data(); }
-  const double* lat_deg() const { return lat_deg_.data(); }
-  const double* lon_deg() const { return lon_deg_.data(); }
-
- private:
-  std::vector<double> sin_lat_, cos_lat_, sin_lon_, cos_lon_;
-  std::vector<double> lat_deg_, lon_deg_;  // kept for reference checks
-};
-
-/// Great-circle distances in km from one query point to every point of the
-/// batch: km_out[i] = distance(query, batch[i]). Algebra (products of the
-/// precomputed trig) runs on the dispatched backend; the final
-/// clamp/sqrt/asin runs in one shared scalar epilogue, so backends are
-/// bit-identical. Matches geo::HaversineKm to ~1e-8 km on city-scale
-/// separations (different but equivalent identity; see DESIGN.md §10).
-void BatchHaversineKm(const GeoTrigBatch& batch, double query_lat_deg,
-                      double query_lon_deg, double* km_out);
-
-/// Single-pair haversine through the same precompute + epilogue code path
-/// as the batch (the scalar fallback of the kernel layer). Exposed for
-/// tests and for callers converting incrementally from geo::HaversineKm.
-double HaversineViaTrigKm(double lat1_deg, double lon1_deg, double lat2_deg,
-                          double lon2_deg);
 
 }  // namespace kernels
 }  // namespace comx

@@ -1,5 +1,5 @@
 // AVX2 backend. Compiled with -mavx2 only (no -mfma): every arithmetic
-// node of the scalar reference in kernel_table_inl.h maps to exactly one
+// node of the scalar reference in geo_kernels.cc maps to exactly one
 // vmulpd/vaddpd/vsubpd, so each lane evaluates the identical IEEE
 // expression tree and results are bit-identical to the scalar backend.
 // Tails (< 4 elements) run the scalar reference loops directly.
@@ -75,33 +75,6 @@ size_t Avx2FilterInRange(const double* xs, const double* ys,
     out += tail;
   }
   return out;
-}
-
-void Avx2BatchHaversineA(const double* sin_lat, const double* cos_lat,
-                         const double* sin_lon, const double* cos_lon,
-                         size_t n, double q_sin_lat, double q_cos_lat,
-                         double q_sin_lon, double q_cos_lon, double* a_out) {
-  const __m256d qslat = _mm256_set1_pd(q_sin_lat);
-  const __m256d qclat = _mm256_set1_pd(q_cos_lat);
-  const __m256d qslon = _mm256_set1_pd(q_sin_lon);
-  const __m256d qclon = _mm256_set1_pd(q_cos_lon);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d half = _mm256_set1_pd(0.5);
-  size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256d cc = _mm256_mul_pd(_mm256_loadu_pd(cos_lat + i), qclat);
-    const __m256d cos_dphi = _mm256_add_pd(
-        cc, _mm256_mul_pd(_mm256_loadu_pd(sin_lat + i), qslat));
-    const __m256d cos_dlam = _mm256_add_pd(
-        _mm256_mul_pd(_mm256_loadu_pd(cos_lon + i), qclon),
-        _mm256_mul_pd(_mm256_loadu_pd(sin_lon + i), qslon));
-    const __m256d t1 = _mm256_mul_pd(half, _mm256_sub_pd(one, cos_dphi));
-    const __m256d t2 = _mm256_mul_pd(half, _mm256_sub_pd(one, cos_dlam));
-    _mm256_storeu_pd(a_out + i, _mm256_add_pd(t1, _mm256_mul_pd(cc, t2)));
-  }
-  ScalarBatchHaversineA(sin_lat + i, cos_lat + i, sin_lon + i, cos_lon + i,
-                        n - i, q_sin_lat, q_cos_lat, q_sin_lon, q_cos_lon,
-                        a_out + i);
 }
 
 }  // namespace internal

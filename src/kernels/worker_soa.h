@@ -3,7 +3,7 @@
 // contiguous coordinate / radius² / platform / availability arrays instead
 // of pointer-chasing AoS Worker records (whose inline history vectors make
 // each record cache-hostile), and the batched kernels gather straight from
-// these arrays. The value-history summary half of the mirror lives in
+// these arrays. Value histories are not mirrored: each is stored once, in
 // kernels/ecdf_batch.h (EcdfIndex), owned by the AcceptanceModel.
 
 #ifndef COMX_KERNELS_WORKER_SOA_H_

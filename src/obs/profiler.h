@@ -1,7 +1,7 @@
 // Hierarchical span profiler: attributes wall time to a tree of span
-// sites so nested COMX_SPAN scopes (e.g. decide -> candidate_lookup ->
-// ecdf_eval) record self-time vs total-time per call path, not just flat
-// per-phase totals.
+// sites so nested COMX_SPAN scopes (e.g. decide -> pricing_estimate ->
+// mer_price -> ecdf_scan) record self-time vs total-time per call path,
+// not just flat per-phase totals.
 //
 // Model: every thread carries a cursor into a process-wide call-tree.
 // Entering a span moves the cursor to the child node for (current node,

@@ -1,22 +1,13 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace comx {
 namespace obs {
 
 namespace internal {
-namespace {
 
-bool SpansDisabledFromEnv() {
-  const char* value = std::getenv("COMX_OBS_DISABLE_SPANS");
-  return value != nullptr && value[0] == '1' && value[1] == '\0';
-}
-
-}  // namespace
-
-std::atomic<bool> g_spans_disabled{SpansDisabledFromEnv()};
+std::atomic<bool> g_spans_disabled{false};
 
 }  // namespace internal
 

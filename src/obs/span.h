@@ -17,10 +17,8 @@
 //
 // Gating: entering a scope samples SpansEnabled() once — a relaxed load +
 // branch when disabled, with no clock read. Spans are off unless
-// obs::SetCollectionEnabled(true) is active AND they are not disabled via
-// the COMX_OBS_DISABLE_SPANS environment variable (set to "1") or the
-// COMX_OBS_DISABLE_SPANS compile-time macro (which compiles COMX_SPAN to
-// nothing for zero-overhead builds).
+// obs::SetCollectionEnabled(true) is active AND SetSpansDisabled(true) has
+// not switched them off.
 //
 // ScopedSpan::Stop() is idempotent: the destructor after an explicit
 // Stop(), or a second Stop(), is a no-op, so a span can never double-
@@ -41,14 +39,14 @@ extern std::atomic<bool> g_spans_disabled;
 }  // namespace internal
 
 /// True when span recording is active: global collection on and spans not
-/// disabled via COMX_OBS_DISABLE_SPANS. Two relaxed loads.
+/// disabled via SetSpansDisabled. Two relaxed loads.
 inline bool SpansEnabled() {
   return CollectionEnabled() &&
          !internal::g_spans_disabled.load(std::memory_order_relaxed);
 }
 
-/// Overrides the COMX_OBS_DISABLE_SPANS environment setting (tests and
-/// the span-overhead microbench).
+/// Switches span recording off (or back on) while collection stays on
+/// (tests and the span-overhead microbench).
 void SetSpansDisabled(bool disabled);
 
 /// One static span site: resolves the phase histogram and profiler site
@@ -95,12 +93,6 @@ class ScopedSpan {
 #define COMX_SPAN_CONCAT_INNER(a, b) a##b
 #define COMX_SPAN_CONCAT(a, b) COMX_SPAN_CONCAT_INNER(a, b)
 
-#ifdef COMX_OBS_DISABLE_SPANS
-/// Compile-time kill switch: sites and scopes vanish entirely.
-#define COMX_SPAN(phase) \
-  do {                   \
-  } while (false)
-#else
 /// Times the rest of the enclosing scope as phase `phase` (string literal).
 #define COMX_SPAN(phase)                                       \
   static const ::comx::obs::SpanSite COMX_SPAN_CONCAT(         \
@@ -108,6 +100,5 @@ class ScopedSpan {
   ::comx::obs::ScopedSpan COMX_SPAN_CONCAT(                    \
       comx_span_scope_, __LINE__)(COMX_SPAN_CONCAT(            \
       comx_span_site_, __LINE__))
-#endif
 
 #endif  // COMX_OBS_SPAN_H_

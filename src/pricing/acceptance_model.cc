@@ -22,39 +22,24 @@ std::vector<double> DrawWorkerReservations(const Instance& instance,
 AcceptanceModel::AcceptanceModel(const Instance& instance, AcceptanceMode mode,
                                  uint64_t reservation_seed)
     : mode_(mode) {
-  histories_.reserve(instance.workers().size());
   size_t total_values = 0;
-  for (const Worker& w : instance.workers()) {
-    histories_.emplace_back(w.history);
-    total_values += w.history.size();
-  }
-  ecdf_.Reserve(histories_.size(), total_values);
-  for (const ValueHistory& h : histories_) {
-    ecdf_.AddWorker(h.values().data(), h.values().size());
-  }
+  for (const Worker& w : instance.workers()) total_values += w.history.size();
+  ecdf_.Reserve(instance.workers().size(), total_values);
+  for (const Worker& w : instance.workers()) ecdf_.AddWorker(w.history);
   if (mode_ == AcceptanceMode::kReservation) {
     reservations_ = DrawWorkerReservations(instance, reservation_seed);
   }
 }
 
 double AcceptanceModel::AcceptProbability(WorkerId w, double payment) const {
-  // The flat ECDF mirror returns the same double as
-  // histories_[w].Ecdf(payment) (contract in kernels/ecdf_batch.h) while
-  // short-circuiting the all-below/all-above probes on its summary arrays.
   return ecdf_.Evaluate(w, payment);
 }
 
 double AcceptanceModel::GroupAcceptProbability(
     const std::vector<WorkerId>& workers, double payment) const {
-  // Batch-evaluate every candidate in one flat pass, then fold in the same
-  // order (and with the same zero-product early exit) as the historical
-  // per-worker loop so the result is bit-identical.
-  thread_local std::vector<double> probs;
-  probs.resize(workers.size());
-  ecdf_.BatchEvaluate(workers.data(), workers.size(), payment, probs.data());
   double none = 1.0;
-  for (double p : probs) {
-    none *= 1.0 - p;
+  for (WorkerId w : workers) {
+    none *= 1.0 - ecdf_.Evaluate(w, payment);
     if (none == 0.0) return 1.0;
   }
   return 1.0 - none;

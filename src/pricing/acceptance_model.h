@@ -2,7 +2,8 @@
 // worker accepts an outer payment v' is the empirical CDF of the worker's
 // completed-request values at v'. The same model serves as both the
 // algorithms' estimator and the simulator's acceptance draw, exactly as in
-// Algorithm 1 lines 17-20 of the paper.
+// Algorithm 1 lines 17-20 of the paper. Every history is stored once, in
+// the flat kernels::EcdfIndex, which also evaluates every probability.
 
 #ifndef COMX_PRICING_ACCEPTANCE_MODEL_H_
 #define COMX_PRICING_ACCEPTANCE_MODEL_H_
@@ -11,7 +12,6 @@
 
 #include "kernels/ecdf_batch.h"
 #include "model/instance.h"
-#include "pricing/history.h"
 #include "util/rng.h"
 
 namespace comx {
@@ -40,7 +40,7 @@ std::vector<double> DrawWorkerReservations(const Instance& instance,
 /// Per-worker acceptance probabilities for a whole Instance.
 class AcceptanceModel {
  public:
-  /// Builds ECDFs from every worker's history. O(sum |history| log).
+  /// Indexes every worker's history. O(sum |history| log).
   /// `reservation_seed` is only used in kReservation mode.
   explicit AcceptanceModel(const Instance& instance,
                            AcceptanceMode mode = AcceptanceMode::kBernoulli,
@@ -62,25 +62,18 @@ class AcceptanceModel {
   /// Bernoulli in kBernoulli mode, payment >= rho_w in kReservation mode.
   bool Accepts(WorkerId w, double payment, Rng* rng) const;
 
-  /// The worker's sorted history.
-  const ValueHistory& HistoryOf(WorkerId w) const {
-    return histories_[static_cast<size_t>(w)];
-  }
-
-  /// Flat ECDF mirror of every history — the batched evaluation path used
-  /// by Algorithm 2's Monte-Carlo sweeps (kernels/ecdf_batch.h). Values are
-  /// bit-identical to AcceptProbability.
+  /// Every worker's sorted history and its ECDF (kernels/ecdf_batch.h):
+  /// Algorithm 2 and the MER scan read it directly.
   const kernels::EcdfIndex& ecdf() const { return ecdf_; }
 
   /// Number of workers covered.
-  size_t worker_count() const { return histories_.size(); }
+  size_t worker_count() const { return ecdf_.worker_count(); }
 
   /// The configured decision mode.
   AcceptanceMode mode() const { return mode_; }
 
  private:
-  std::vector<ValueHistory> histories_;
-  kernels::EcdfIndex ecdf_;  // flat mirror of histories_, built once
+  kernels::EcdfIndex ecdf_;  // every history, built once
   AcceptanceMode mode_;
   std::vector<double> reservations_;  // only filled in kReservation mode
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "obs/span.h"
 
@@ -65,7 +66,7 @@ MerQuote ComputeMerQuote(const AcceptanceModel& model,
       if (first <= request_value) tail = std::min(tail, first);
       continue;
     }
-    const auto& hist = model.HistoryOf(w).values();
+    const std::span<const double> hist = ecdf.Values(w);
     const int take = std::min<int>(max_picks, static_cast<int>(hist.size()));
     // Spread picks across the sorted history so both cheap and expensive
     // acceptance thresholds are represented. Picks ascend with i.

@@ -37,11 +37,9 @@ void RecordEstimate(const MinPaymentEstimate& estimate) {
 }
 
 // One Bernoulli sweep over pre-evaluated acceptance probabilities: does any
-// candidate accept? The probabilities come from one EcdfIndex batch pass
-// (bit-identical to AcceptProbability), and the draw loop replicates
-// Rng::Bernoulli exactly — p <= 0 is false and p >= 1 is true, neither
-// consuming a draw — so the RNG stream matches the historical per-worker
-// DrawAcceptance loop bit for bit.
+// candidate accept? The draw loop replicates Rng::Bernoulli exactly — p <= 0
+// is false and p >= 1 is true, neither consuming a draw — so the RNG stream
+// matches a per-worker DrawAcceptance loop bit for bit.
 bool AnyoneAccepts(const double* probs, size_t n, Rng* rng) {
   bool any = false;
   // Every candidate is drawn (not short-circuited) so the RNG stream
@@ -78,19 +76,18 @@ MinPaymentEstimate EstimateMinOuterPayment(
     return out;
   }
 
-  // Vectorized Algorithm-2 path: the acceptance probabilities at the full
-  // request value are the same for every Monte-Carlo instance, so evaluate
-  // them once up front (one flat ECDF batch pass instead of n_s * |C|
-  // binary searches); each bisection midpoint gets its own batch pass,
-  // shared by the whole candidate sweep of that step.
+  // The acceptance probabilities at the full request value are the same
+  // for every Monte-Carlo instance, so they are evaluated once up front;
+  // each bisection midpoint evaluates its own before the candidate sweep.
   const size_t n_c = candidates.size();
   const kernels::EcdfIndex& ecdf = model.ecdf();
   thread_local std::vector<double> probs_value;
   thread_local std::vector<double> probs_mid;
   probs_value.resize(n_c);
   probs_mid.resize(n_c);
-  ecdf.BatchEvaluate(candidates.data(), n_c, request_value,
-                     probs_value.data());
+  for (size_t i = 0; i < n_c; ++i) {
+    probs_value[i] = ecdf.Evaluate(candidates[i], request_value);
+  }
 
   double sum = 0.0;
   int rejects = 0;
@@ -125,7 +122,9 @@ MinPaymentEstimate EstimateMinOuterPayment(
         break;
       }
       ++out.bisect_iterations;
-      ecdf.BatchEvaluate(candidates.data(), n_c, v_m, probs_mid.data());
+      for (size_t i = 0; i < n_c; ++i) {
+        probs_mid[i] = ecdf.Evaluate(candidates[i], v_m);
+      }
       if (AnyoneAccepts(probs_mid.data(), n_c, rng)) {
         v_h = v_m;
       } else {

@@ -42,35 +42,5 @@ TEST(WithinRadiusTest, ZeroRadiusOnlySelf) {
   EXPECT_FALSE(WithinRadius(Point(1, 1), Point(1, 1.001), 0.0));
 }
 
-TEST(HaversineTest, KnownCityPair) {
-  // Chengdu (30.5728N, 104.0668E) to Xi'an (34.3416N, 108.9398E):
-  // great-circle distance ~= 620 km.
-  const double d = HaversineKm(30.5728, 104.0668, 34.3416, 108.9398);
-  EXPECT_NEAR(d, 620.0, 10.0);
-}
-
-TEST(HaversineTest, ZeroForSamePoint) {
-  EXPECT_NEAR(HaversineKm(30.0, 104.0, 30.0, 104.0), 0.0, 1e-9);
-}
-
-TEST(HaversineTest, OneDegreeLatitudeIsAbout111Km) {
-  EXPECT_NEAR(HaversineKm(30.0, 104.0, 31.0, 104.0), 111.2, 0.5);
-}
-
-TEST(ProjectionTest, OriginMapsToZero) {
-  const Point p = ProjectEquirectangular(30.57, 104.07, 30.57, 104.07);
-  EXPECT_NEAR(p.x, 0.0, 1e-9);
-  EXPECT_NEAR(p.y, 0.0, 1e-9);
-}
-
-TEST(ProjectionTest, MatchesHaversineAtCityScale) {
-  const double lat0 = 30.5728, lon0 = 104.0668;
-  const double lat1 = 30.62, lon1 = 104.12;
-  const Point p = ProjectEquirectangular(lat1, lon1, lat0, lon0);
-  const double planar = std::sqrt(p.x * p.x + p.y * p.y);
-  const double sphere = HaversineKm(lat0, lon0, lat1, lon1);
-  EXPECT_NEAR(planar, sphere, 0.02);  // <1% error at ~7 km
-}
-
 }  // namespace
 }  // namespace comx

@@ -2,17 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace comx {
 namespace kernels {
 namespace {
 
-using internal::ResolveBackend;
 using internal::TableFor;
 
-// Every test that pins the backend restores the environment-resolved
-// dispatch on exit so test order never leaks between cases.
+// Every test that pins the backend restores the cpuid-resolved dispatch on
+// exit so test order never leaks between cases.
 class DispatchTest : public ::testing::Test {
  protected:
   ~DispatchTest() override { ResetDispatchForTesting(); }
@@ -21,18 +18,6 @@ class DispatchTest : public ::testing::Test {
 TEST_F(DispatchTest, BackendNames) {
   EXPECT_STREQ(BackendName(Backend::kScalar), "scalar");
   EXPECT_STREQ(BackendName(Backend::kAvx2), "avx2");
-}
-
-TEST_F(DispatchTest, ResolveBackendEnvContract) {
-  // Unset, empty, and "0" all mean "auto": best supported backend.
-  const Backend best = Avx2Supported() ? Backend::kAvx2 : Backend::kScalar;
-  EXPECT_EQ(ResolveBackend(nullptr), best);
-  EXPECT_EQ(ResolveBackend(""), best);
-  EXPECT_EQ(ResolveBackend("0"), best);
-  // Any other value forces scalar.
-  EXPECT_EQ(ResolveBackend("1"), Backend::kScalar);
-  EXPECT_EQ(ResolveBackend("true"), Backend::kScalar);
-  EXPECT_EQ(ResolveBackend("yes"), Backend::kScalar);
 }
 
 TEST_F(DispatchTest, TableAvailability) {
@@ -54,9 +39,9 @@ TEST_F(DispatchTest, ForceAndReset) {
     EXPECT_FALSE(ForceBackendForTesting(Backend::kAvx2));
   }
   ResetDispatchForTesting();
-  // After reset the active backend matches the environment resolution.
+  // After reset cpuid alone picks the backend again.
   EXPECT_EQ(ActiveBackend(),
-            ResolveBackend(std::getenv("COMX_FORCE_SCALAR")));
+            Avx2Supported() ? Backend::kAvx2 : Backend::kScalar);
 }
 
 TEST_F(DispatchTest, ActiveTableMatchesActiveBackend) {

@@ -79,8 +79,15 @@ TEST(AcceptanceModelTest, CoversEveryWorker) {
   const Instance ins = TwoWorkerInstance();
   const AcceptanceModel model(ins);
   EXPECT_EQ(model.worker_count(), 2u);
-  EXPECT_EQ(model.HistoryOf(0).size(), 4u);
-  EXPECT_EQ(model.HistoryOf(1).size(), 1u);
+  EXPECT_EQ(model.ecdf().Values(0).size(), 4u);
+  EXPECT_EQ(model.ecdf().Values(1).size(), 1u);
+}
+
+TEST(AcceptanceModelTest, ZeroWorkerInstanceReportsZeroWorkers) {
+  Instance ins;
+  ins.BuildEvents();
+  const AcceptanceModel model(ins);
+  EXPECT_EQ(model.worker_count(), 0u);
 }
 
 }  // namespace

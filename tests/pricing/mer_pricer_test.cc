@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "testing/builders.h"
@@ -48,7 +49,7 @@ MerQuote DenseMerQuote(const AcceptanceModel& model,
   }
   grid.push_back(request_value);
   for (WorkerId w : candidates) {
-    const auto& hist = model.HistoryOf(w).values();
+    const std::span<const double> hist = model.ecdf().Values(w);
     const int take = std::min<int>(
         config.max_history_candidates_per_worker,
         static_cast<int>(hist.size()));
@@ -267,7 +268,7 @@ double RandomRequestValue(int mode, const AcceptanceModel& model,
   std::vector<double> entries;
   double lowest = 1e300;
   for (WorkerId w : candidates) {
-    const auto& hist = model.HistoryOf(w).values();
+    const std::span<const double> hist = model.ecdf().Values(w);
     entries.insert(entries.end(), hist.begin(), hist.end());
     if (!hist.empty()) lowest = std::min(lowest, hist.front());
   }
@@ -277,7 +278,7 @@ double RandomRequestValue(int mode, const AcceptanceModel& model,
              static_cast<double>(config.max_grid_points + 1);
     case 2:
       for (WorkerId w : candidates) {
-        const auto& hist = model.HistoryOf(w).values();
+        const std::span<const double> hist = model.ecdf().Values(w);
         if (!hist.empty() && hist.back() > 0.0) return hist.back();
       }
       break;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics_registry.h"
+#include "obs/profiler.h"
 #include "testing/builders.h"
 
 namespace comx {
@@ -176,6 +178,31 @@ TEST(MinPaymentTest, DisabledIterationBudgetMatchesDefault) {
   EXPECT_DOUBLE_EQ(ea.payment, eb.payment);
   EXPECT_EQ(ea.bisect_iterations, eb.bisect_iterations);
   EXPECT_FALSE(eb.budget_exhausted);
+}
+
+// Algorithm 2 opens one span per estimate however many bisection steps it
+// takes: comx_serve runs with collection on, so a span per step would be
+// paid on every served decision.
+TEST(MinPaymentTest, OpensOneSpanPerEstimate) {
+  const Instance ins = WorkersWithHistories({{3.0, 6.0, 9.0}, {2.0, 7.0}});
+  const AcceptanceModel model(ins);
+  const auto spans_recorded = [] {
+    int64_t total = 0;
+    for (const obs::ProfileNode& node :
+         obs::SpanProfiler::Global().Snapshot()) {
+      total += node.count;
+    }
+    return total;
+  };
+  const bool was_enabled = obs::CollectionEnabled();
+  obs::SetCollectionEnabled(true);
+  const int64_t before = spans_recorded();
+  Rng rng(11);
+  const auto est = EstimateMinOuterPayment(model, {0, 1}, 10.0, {}, &rng);
+  const int64_t after = spans_recorded();
+  obs::SetCollectionEnabled(was_enabled);
+  ASSERT_GT(est.bisect_iterations, 0);
+  EXPECT_EQ(after - before, 1);  // pricing_estimate
 }
 
 TEST(MinPaymentTest, TighterXiNarrowsSpread) {

@@ -20,9 +20,10 @@
 #                   recovered bit-exact (40 crash-recovery checks, where
 #                   --smoke alone runs 13; stage 7's crash_matrix covers
 #                   the same loop from its own points; see TESTING.md).
-#   5. kernels    — release bench_kernels --smoke reproduced against the
-#                   committed BENCH_kernels.json baseline (the kernel
-#                   layer's cross-backend checksums) via bench_check.
+#   5. kernels    — the release ctest KernelChecksumsReproduceBaseline:
+#                   bench_kernels --smoke reproduced against the committed
+#                   BENCH_kernels.json baseline (the kernel layer's
+#                   cross-backend checksums) via bench_check.
 #   6. perf       — the perf-report pipeline end to end: bench_sweep --quick
 #                   with --perf-out, then perf_report renders the span
 #                   profile, emits collapsed stacks, and --check validates
@@ -104,10 +105,8 @@ if [[ "${COMX_CHECK_SKIP_KERNELS:-0}" != "1" ]]; then
   echo "== stage 5/8: kernel checksum baseline reproduction =="
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" --target bench_kernels bench_check
-  KERNELS_OUT="${TMP_DIR}/bench_kernels.json"
-  ./build/bench/bench_kernels --smoke --out "${KERNELS_OUT}"
-  ./build/tools/bench_check --baseline BENCH_kernels.json \
-    --current "${KERNELS_OUT}"
+  ctest --preset release --no-tests=error \
+    -R '^KernelChecksumsReproduceBaseline$'
 else
   echo "== stage 5/8: skipped (COMX_CHECK_SKIP_KERNELS=1) =="
 fi
