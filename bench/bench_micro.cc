@@ -13,7 +13,6 @@
 #include "geo/grid_index.h"
 #include "matching/greedy_offline.h"
 #include "matching/hungarian.h"
-#include "model/constraints.h"
 #include "pricing/mer_pricer.h"
 #include "pricing/min_payment_estimator.h"
 #include "sim/simulator.h"

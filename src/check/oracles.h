@@ -1,13 +1,13 @@
 // Post-run invariant oracles: independent re-derivations of everything a
 // COM matcher promises, checked against one simulation's outputs. The
-// constraint oracles replay the assignment log from scratch (the paper's
-// time / 1-by-1 / invariable / range constraints of Section II plus the
-// Eq. 1 revenue accounting, re-accumulated bit-exactly); the policy oracles
-// check matcher-specific contracts from the decision trace (DemCOM's
-// inner-first rule, TOTA's no-borrowing, RamCOM's e^k threshold set); the
-// differential oracles compare against OFF — exact Hungarian on the shared
-// offline graph, cross-checked by the exhaustive brute force on tiny
-// instances, and an upper bound on every online matcher in the
+// constraint oracles are sim/audit.h's replay of the assignment log (the
+// paper's time / 1-by-1 / invariable / range constraints of Section II
+// plus the Eq. 1 revenue accounting, re-accumulated bit-exactly); the
+// policy oracles check matcher-specific contracts from the decision trace
+// (DemCOM's inner-first rule, TOTA's no-borrowing, RamCOM's e^k threshold
+// set); the differential oracles compare against OFF — exact Hungarian on
+// the shared offline graph, cross-checked by the exhaustive brute force on
+// tiny instances, and an upper bound on every online matcher in the
 // reservation-mode regime.
 //
 // Oracles return violations, not asserts, so the fuzz driver can shrink a
@@ -21,17 +21,14 @@
 
 #include "check/scenario_gen.h"
 #include "obs/trace.h"
+#include "sim/audit.h"
 #include "sim/simulator.h"
 
 namespace comx {
 namespace check {
 
-/// One failed oracle. `oracle` is a stable slug (listed in TESTING.md);
-/// `detail` pinpoints the offending entity.
-struct OracleViolation {
-  std::string oracle;
-  std::string detail;
-};
+/// One failed oracle: the auditor's {slug, detail} pair (sim/audit.h).
+using OracleViolation = AuditViolation;
 
 struct OracleOptions {
   /// Float tolerance for the OFF upper bound (solver arithmetic differs
@@ -61,7 +58,8 @@ struct MatcherRunRecord {
   std::vector<double> ram_thresholds;
 };
 
-/// Constraint + accounting + policy oracles. Cheap (one pass over the
+/// Constraint + accounting oracles (AuditAssignments' violations, in log
+/// order) followed by the policy oracles. Cheap (one pass over the
 /// assignment log and the trace).
 std::vector<OracleViolation> CheckConstraintOracles(
     const MatcherRunRecord& run, const OracleOptions& options);

@@ -8,7 +8,6 @@
 #include "geo/grid_index.h"
 #include "matching/hungarian.h"
 #include "matching/incremental_km.h"
-#include "model/constraints.h"
 #include "pricing/acceptance_model.h"
 #include "util/string_util.h"
 

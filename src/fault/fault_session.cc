@@ -1,5 +1,6 @@
 #include "fault/fault_session.h"
 
+#include <cmath>
 #include <string>
 
 #include "obs/metrics_registry.h"
@@ -76,11 +77,12 @@ bool FaultSession::PartnerVisible(PlatformId observer, PlatformId partner,
       const double backoff = retry.BackoffMs(attempt, injector_.JitterUnit());
       stats_.backoff_ms_total += backoff;
       if (obs::CollectionEnabled()) {
-        obs::MetricsRegistry::Global()
-            .GetHistogram("comx_fault_retry_backoff_ms",
-                          {1.0, 5.0, 25.0, 100.0, 500.0, 2000.0},
-                          "Virtual backoff per retry, ms")
-            ->Observe(backoff);
+        // Recorded in ns (ms * 1e6), so the exported seconds are virtual.
+        static obs::LatencyHistogram* const backoff_seconds =
+            obs::MetricsRegistry::Global().GetLatencyHistogram(
+                "comx_fault_retry_backoff_seconds",
+                "Virtual backoff per retry");
+        backoff_seconds->ObserveNanos(std::llround(backoff * 1e6));
       }
       continue;
     }

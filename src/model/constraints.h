@@ -1,7 +1,10 @@
-// Feasibility predicates implementing the four constraints of Definition 2.6.
-// Occupancy (1-by-1) and irrevocability (invariable) are enforced by the
-// simulator's waiting lists; the static time + range feasibility between one
-// worker and one request lives here so every algorithm shares one definition.
+// Static feasibility between one worker and one request: the time and range
+// constraints of Definition 2.6, with Euclidean distance. No matcher calls
+// these predicates; the simulator's waiting lists and grid scans apply the
+// two rules themselves (under any DistanceMetric) and also enforce the
+// 1-by-1 and invariable constraints. sim/audit.h replays a finished run
+// against all four. Callers here are the pricing ablation bench and the
+// tests' fake matcher view.
 
 #ifndef COMX_MODEL_CONSTRAINTS_H_
 #define COMX_MODEL_CONSTRAINTS_H_

@@ -37,10 +37,6 @@ std::string SeriesName(std::string_view base, std::string_view suffix,
   return out;
 }
 
-std::string FormatBound(double bound) {
-  return StrFormat("%g", bound);
-}
-
 // Emits HELP/TYPE once per base name (samples arrive sorted by full name,
 // so label variants of one base are adjacent).
 void MaybeHeader(std::string* out, std::string_view base,
@@ -103,25 +99,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
     out += SeriesName(base, "_count", labels, "");
     out += StrFormat(" %lld\n", static_cast<long long>(l.latency.count));
   }
-  last_base.clear();
-  for (const HistogramSample& h : snapshot.histograms) {
-    const auto [base, labels] = SplitName(h.name);
-    MaybeHeader(&out, base, h.help, "histogram", &last_base);
-    int64_t cumulative = 0;
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      const std::string le =
-          i < h.bounds.size()
-              ? StrFormat("le=\"%s\"", FormatBound(h.bounds[i]).c_str())
-              : std::string("le=\"+Inf\"");
-      out += SeriesName(base, "_bucket", labels, le);
-      out += StrFormat(" %lld\n", static_cast<long long>(cumulative));
-    }
-    out += SeriesName(base, "_sum", labels, "");
-    out += StrFormat(" %.17g\n", h.sum);
-    out += SeriesName(base, "_count", labels, "");
-    out += StrFormat(" %lld\n", static_cast<long long>(h.count));
-  }
   return out;
 }
 
@@ -133,19 +110,6 @@ std::string ToJson(const MetricsSnapshot& snapshot) {
   w.EndObject();
   w.Key("gauges").BeginObject();
   for (const GaugeSample& g : snapshot.gauges) w.KV(g.name, g.value);
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const HistogramSample& h : snapshot.histograms) {
-    w.Key(h.name).BeginObject();
-    w.KV("count", h.count).KV("sum", h.sum);
-    w.Key("bounds").BeginArray();
-    for (double b : h.bounds) w.Value(b);
-    w.EndArray();
-    w.Key("bucket_counts").BeginArray();
-    for (int64_t c : h.counts) w.Value(c);
-    w.EndArray();
-    w.EndObject();
-  }
   w.EndObject();
   w.Key("latencies").BeginObject();
   for (const LatencySample& l : snapshot.latencies) {

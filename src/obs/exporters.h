@@ -19,15 +19,14 @@ enum class MetricsFormat { kPrometheus, kJson };
 /// Parses "prom"/"prometheus" or "json".
 Result<MetricsFormat> ParseMetricsFormat(std::string_view name);
 
-/// Prometheus text exposition: # HELP / # TYPE comments, cumulative
-/// histogram buckets with the synthetic le label, _sum and _count series.
-/// Latency histograms export as summaries (quantile label, seconds).
-/// Labeled metric names registered via MetricName() are merged with the
-/// synthetic labels correctly.
+/// Prometheus text exposition: # HELP / # TYPE comments; counters and
+/// gauges as plain series, latency histograms as summaries (quantile
+/// label, seconds) with _sum and _count series. Labeled metric names
+/// registered via MetricName() are merged with the synthetic labels
+/// correctly.
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 
 /// JSON snapshot: {"counters": {name: value, ...}, "gauges": {...},
-/// "histograms": {name: {"count": n, "sum": s, "buckets": [...]}},
 /// "latencies": {name: {"count": n, ..., "p50_ns": v, "buckets":
 /// [[index, count], ...]}}}.
 std::string ToJson(const MetricsSnapshot& snapshot);

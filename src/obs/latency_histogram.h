@@ -15,7 +15,7 @@
 // allocated lazily on first use, so an idle histogram costs a few hundred
 // bytes, not kLatencyBucketCount * kShardCount counters.
 //
-// Unlike Counter/Histogram, ObserveNanos does NOT check
+// Unlike Counter and Gauge, ObserveNanos does NOT check
 // obs::CollectionEnabled(): per-run local histograms (the simulator's
 // decision-latency measurement, gated on SimConfig::measure_response_time)
 // must record regardless of the global metrics switch. Registry-owned

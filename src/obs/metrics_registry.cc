@@ -1,6 +1,6 @@
 #include "obs/metrics_registry.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace comx {
 namespace obs {
@@ -73,71 +73,6 @@ void Counter::Reset() {
   }
 }
 
-Histogram::Histogram(std::string name, std::string help,
-                     std::vector<double> bounds)
-    : name_(std::move(name)), help_(std::move(help)),
-      bounds_(std::move(bounds)) {
-  const size_t buckets = bounds_.size() + 1;
-  for (Shard& shard : shards_) {
-    shard.counts = std::make_unique<std::atomic<int64_t>[]>(buckets);
-    for (size_t i = 0; i < buckets; ++i) {
-      shard.counts[i].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-void Histogram::Observe(double v) {
-  if (!CollectionEnabled()) return;
-  const size_t bucket = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  Shard& shard = shards_[internal::ThisThreadShard()];
-  shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(v, std::memory_order_relaxed);
-}
-
-std::vector<int64_t> Histogram::BucketCounts() const {
-  std::vector<int64_t> out(bounds_.size() + 1, 0);
-  for (const Shard& shard : shards_) {
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] += shard.counts[i].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-int64_t Histogram::Count() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (const Shard& shard : shards_) {
-    total += shard.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    for (size_t i = 0; i < bounds_.size() + 1; ++i) {
-      shard.counts[i].store(0, std::memory_order_relaxed);
-    }
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0.0, std::memory_order_relaxed);
-  }
-}
-
-std::vector<double> DefaultLatencyBoundsSeconds() {
-  return {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-          1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
-          1.0,  2.5,    5.0,  10.0};
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
@@ -171,22 +106,6 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name,
   return it->second.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<double> bounds,
-                                         std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(
-                          new Histogram(std::string(name), std::string(help),
-                                        std::move(bounds))))
-             .first;
-  }
-  return it->second.get();
-}
-
 LatencyHistogram* MetricsRegistry::GetLatencyHistogram(
     std::string_view name, std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -212,12 +131,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, gauge] : gauges_) {
     snap.gauges.push_back({name, gauge->help(), gauge->Value()});
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    snap.histograms.push_back({name, hist->help(), hist->bounds(),
-                               hist->BucketCounts(), hist->Count(),
-                               hist->Sum()});
-  }
   snap.latencies.reserve(latencies_.size());
   for (const auto& [name, hist] : latencies_) {
     snap.latencies.push_back({name, hist->help(), hist->Snapshot()});
@@ -229,7 +142,6 @@ void MetricsRegistry::ResetValues() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
   for (auto& [name, hist] : latencies_) hist->Reset();
 }
 
@@ -251,25 +163,9 @@ MetricsSnapshot DiffSnapshots(const MetricsSnapshot& before,
   }
   // Gauges are last-write-wins: report the after value as-is.
   diff.gauges = after.gauges;
-  size_t hi = 0;
-  diff.histograms.reserve(after.histograms.size());
-  for (const HistogramSample& a : after.histograms) {
-    HistogramSample d = a;
-    if (hi < before.histograms.size() &&
-        before.histograms[hi].name == a.name) {
-      const HistogramSample& b = before.histograms[hi];
-      for (size_t i = 0; i < d.counts.size() && i < b.counts.size(); ++i) {
-        d.counts[i] -= b.counts[i];
-      }
-      d.count -= b.count;
-      d.sum -= b.sum;
-      ++hi;
-    }
-    diff.histograms.push_back(std::move(d));
-  }
-  // Latency samples subtract like histograms; max is not diffable (only
-  // the larger of the two windows is known), so the diff keeps `after`'s
-  // max, which upper-bounds the interval's true max.
+  // Latency samples subtract like counters, bucket by bucket; max is not
+  // diffable (only the larger of the two windows is known), so the diff
+  // keeps `after`'s max, which upper-bounds the interval's true max.
   size_t li = 0;
   diff.latencies.reserve(after.latencies.size());
   for (const LatencySample& a : after.latencies) {

@@ -1,11 +1,12 @@
-// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms, safe to update from any thread. Updates go to thread-local
-// sharded cells (one cache line each) with relaxed atomic increments — no
-// lock, no contention between threads on different shards — and are merged
-// only on scrape. Collection is off by default; every update is a single
-// relaxed load + branch until obs::SetCollectionEnabled(true) is called, so
-// instrumented hot paths (grid probes, pricing loops) stay within noise of
-// the uninstrumented code when observability is idle.
+// Process-wide metrics registry: named counters, gauges, and log-linear
+// latency histograms, safe to update from any thread. Updates go to
+// thread-local sharded cells (one cache line each) with relaxed atomic
+// increments — no lock, no contention between threads on different shards
+// — and are merged only on scrape. Collection is off by default; every
+// counter or gauge update is a single relaxed load + branch until
+// obs::SetCollectionEnabled(true) is called, so instrumented hot paths
+// (grid probes, pricing loops) stay within noise of the uninstrumented
+// code when observability is idle.
 //
 // Naming convention: comx_<area>_<name>[{label="value",...}], e.g.
 // comx_geo_grid_queries_total or comx_sim_requests_total{platform="0"}.
@@ -29,9 +30,9 @@
 namespace comx {
 namespace obs {
 
-/// Number of cache-line-padded cells per counter/histogram. Threads are
-/// assigned cells round-robin; 16 keeps contention negligible for the
-/// thread counts ThreadPool spawns while costing 1 KiB per counter.
+/// Number of cache-line-padded cells per counter and latency histogram.
+/// Threads are assigned cells round-robin; 16 keeps contention negligible
+/// for the thread counts ThreadPool spawns while costing 1 KiB per counter.
 inline constexpr size_t kShardCount = 16;
 
 /// Global collection switch (default off). Reading it is a relaxed atomic
@@ -114,46 +115,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram. `bounds` are inclusive upper bucket edges in
-/// ascending order; an implicit +inf bucket catches the rest (Prometheus
-/// semantics: bucket i counts observations <= bounds[i], cumulated on
-/// export). Observation cost: one binary search + two relaxed fetch_adds.
-class Histogram {
- public:
-  void Observe(double v);
-
-  /// Merged per-bucket counts (size bounds().size() + 1, non-cumulative).
-  std::vector<int64_t> BucketCounts() const;
-  /// Merged observation count and sum.
-  int64_t Count() const;
-  double Sum() const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  const std::string& name() const { return name_; }
-  const std::string& help() const { return help_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::string help, std::vector<double> bounds);
-  void Reset();
-
-  struct alignas(64) Shard {
-    // counts has bounds_.size() + 1 entries; the last is the +inf bucket.
-    std::unique_ptr<std::atomic<int64_t>[]> counts;
-    std::atomic<int64_t> count{0};
-    std::atomic<double> sum{0.0};
-  };
-
-  std::string name_;
-  std::string help_;
-  std::vector<double> bounds_;
-  std::array<Shard, kShardCount> shards_;
-};
-
-/// Default latency buckets for timing spans, in seconds: 1us .. ~10s,
-/// roughly 4 per decade.
-std::vector<double> DefaultLatencyBoundsSeconds();
-
 /// A point-in-time merged view of every registered metric, sorted by name.
 struct CounterSample {
   std::string name, help;
@@ -163,13 +124,6 @@ struct GaugeSample {
   std::string name, help;
   double value = 0.0;
 };
-struct HistogramSample {
-  std::string name, help;
-  std::vector<double> bounds;
-  std::vector<int64_t> counts;  // per-bucket, non-cumulative; size bounds+1
-  int64_t count = 0;
-  double sum = 0.0;
-};
 struct LatencySample {
   std::string name, help;
   LatencySnapshot latency;
@@ -177,16 +131,16 @@ struct LatencySample {
 struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
   std::vector<LatencySample> latencies;
 };
 
 /// What happened between two snapshots of the same registry: counters and
-/// histograms are subtracted (metrics absent from `before` count from
-/// zero); gauges are last-write-wins, so the diff carries `after`'s value
-/// unchanged. Used by the sweep engine to attribute registry activity to a
-/// job (serial runs) or to a whole sweep (parallel runs, where concurrent
-/// jobs share the global registry and per-job attribution is impossible).
+/// latency histograms are subtracted (metrics absent from `before` count
+/// from zero); gauges are last-write-wins, so the diff carries `after`'s
+/// value unchanged. Used by the sweep engine to attribute registry activity
+/// to a job (serial runs) or to a whole sweep (parallel runs, where
+/// concurrent jobs share the global registry and per-job attribution is
+/// impossible).
 MetricsSnapshot DiffSnapshots(const MetricsSnapshot& before,
                               const MetricsSnapshot& after);
 
@@ -205,12 +159,8 @@ class MetricsRegistry {
 
   Counter* GetCounter(std::string_view name, std::string_view help = "");
   Gauge* GetGauge(std::string_view name, std::string_view help = "");
-  /// `bounds` must be ascending and non-empty; a second Get with the same
-  /// name ignores `bounds` and returns the existing histogram.
-  Histogram* GetHistogram(std::string_view name, std::vector<double> bounds,
-                          std::string_view help = "");
   /// Log-linear nanosecond histogram (see latency_histogram.h). Unlike
-  /// Histogram::Observe, LatencyHistogram::ObserveNanos is NOT gated on
+  /// Counter::Inc, LatencyHistogram::ObserveNanos is NOT gated on
   /// CollectionEnabled() — call sites gate (ScopedSpan samples the switch
   /// on scope entry).
   LatencyHistogram* GetLatencyHistogram(std::string_view name,
@@ -227,7 +177,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       latencies_;
 };

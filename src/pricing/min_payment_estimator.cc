@@ -22,17 +22,12 @@ void RecordEstimate(const MinPaymentEstimate& estimate) {
   static obs::Counter* const samples = registry.GetCounter(
       "comx_pricing_mc_samples_total",
       "Monte-Carlo sampling instances run by Algorithm 2");
-  static obs::Histogram* const per_estimate = registry.GetHistogram(
-      "comx_pricing_bisect_iterations_per_estimate",
-      {0.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0},
-      "Distribution of bisection iterations per estimate");
   static obs::Counter* const exhausted = registry.GetCounter(
       "comx_pricing_budget_exhausted_total",
       "Estimates cut short by the iteration or wall-clock budget");
   estimates->Inc();
   iterations->Inc(estimate.bisect_iterations);
   samples->Inc(estimate.samples);
-  per_estimate->Observe(static_cast<double>(estimate.bisect_iterations));
   if (estimate.budget_exhausted) exhausted->Inc();
 }
 

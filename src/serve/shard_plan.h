@@ -6,10 +6,13 @@
 // about its own requests and never needs a peer's state — decisions are
 // embarrassingly parallel ACROSS shards while staying strictly ordered
 // WITHIN one. The price is that a worker whose service radius crosses a
-// stripe boundary is only visible to its home shard; on instances whose
-// demand clusters are separated by more than the worker radius the sharded
-// totals equal the single-shard totals exactly (tests/serve asserts this),
-// and on arbitrary instances they are a documented approximation.
+// stripe boundary is only visible to its home shard. On instances whose
+// demand clusters are separated by more than the worker radius, TOTA's
+// sharded totals equal its single-shard totals exactly (tests/serve asserts
+// this). DemCOM and RamCOM differ even there: each platform's matcher draws
+// from one RNG stream that every shard restarts, and RamCOM's theta comes
+// from the shard's sub-instance. On arbitrary instances every algorithm's
+// sharded totals are a documented approximation.
 //
 // With shards == 1 the plan is a verbatim copy of the input — same entity
 // ids, same event sequence numbers — so a one-shard service is bit-identical

@@ -1,14 +1,9 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
-#include "geo/distance.h"
+#include "sim/audit.h"
 #include "sim/sim_engine.h"
-#include "sim/worker_pool.h"
-#include "util/string_util.h"
 
 namespace comx {
 
@@ -35,105 +30,11 @@ Result<SimResult> RunSimulation(const Instance& instance,
 
 Status AuditSimResult(const Instance& instance, const SimConfig& config,
                       const SimResult& result) {
-  const DistanceMetric& metric =
-      config.metric != nullptr ? *config.metric : DefaultMetric();
-  std::vector<Timestamp> available_since(instance.workers().size());
-  std::vector<Point> location(instance.workers().size());
-  std::vector<char> busy(instance.workers().size(), 0);
-  std::vector<char> request_served(instance.requests().size(), 0);
-  for (const Worker& w : instance.workers()) {
-    available_since[static_cast<size_t>(w.id)] = w.time;
-    location[static_cast<size_t>(w.id)] = w.location;
-  }
-
-  // Replay in recorded order; times must be non-decreasing. With recycling
-  // a worker frees up at its service end; we track that explicitly.
-  // In batch mode the booking point is the request's window close, not its
-  // arrival: ordering and the busy horizon are audited at dispatch time
-  // (within a window, platforms interleave arbitrary request times).
-  const auto dispatch_of = [&config](Timestamp t) {
-    if (!config.batch_mode || config.batch_window_seconds <= 0.0) return t;
-    const double w = config.batch_window_seconds;
-    return (std::floor(t / w) + 1.0) * w;
-  };
-  std::vector<Timestamp> busy_until(instance.workers().size(), 0.0);
-  double last_time = -std::numeric_limits<double>::infinity();
-  double revenue_check = 0.0;
-  for (const Assignment& a : result.matching.assignments) {
-    if (a.request < 0 ||
-        a.request >= static_cast<RequestId>(instance.requests().size())) {
-      return Status::OutOfRange("assignment references unknown request");
-    }
-    if (a.worker < 0 ||
-        a.worker >= static_cast<WorkerId>(instance.workers().size())) {
-      return Status::OutOfRange("assignment references unknown worker");
-    }
-    const Request& r = instance.request(a.request);
-    const Worker& w = instance.worker(a.worker);
-    const Timestamp dispatch = dispatch_of(r.time);
-    if (dispatch < last_time - 1e-9) {
-      return Status::FailedPrecondition("assignments out of time order");
-    }
-    last_time = dispatch;
-    if (request_served[static_cast<size_t>(a.request)]) {
-      return Status::FailedPrecondition("request served twice");
-    }
-    request_served[static_cast<size_t>(a.request)] = 1;
-
-    auto& since = available_since[static_cast<size_t>(a.worker)];
-    auto& loc = location[static_cast<size_t>(a.worker)];
-    auto& is_busy = busy[static_cast<size_t>(a.worker)];
-    auto& until = busy_until[static_cast<size_t>(a.worker)];
-    if (is_busy) {
-      if (!config.workers_recycle) {
-        return Status::FailedPrecondition("worker used twice (1-by-1)");
-      }
-      if (until > r.time + 1e-9) {
-        return Status::FailedPrecondition(
-            "worker assigned while still serving");
-      }
-      // Recycled: it became available at `until` at the previous drop-off.
-      since = until;
-      is_busy = false;
-    }
-    if (since > r.time + 1e-9) {
-      return Status::FailedPrecondition("time constraint violated");
-    }
-    const double pickup = metric.Distance(loc, r.location);
-    if (pickup > w.radius + 1e-9) {
-      return Status::FailedPrecondition("range constraint violated");
-    }
-    const bool is_outer = w.platform != r.platform;
-    if (is_outer != a.is_outer) {
-      return Status::FailedPrecondition("inner/outer flag wrong");
-    }
-    if (is_outer) {
-      if (!(a.outer_payment > 0.0) || a.outer_payment > r.value + 1e-9) {
-        return Status::FailedPrecondition("outer payment outside (0, v]");
-      }
-      if (std::abs(a.revenue - (r.value - a.outer_payment)) > 1e-9) {
-        return Status::FailedPrecondition("outer revenue accounting wrong");
-      }
-    } else {
-      if (a.outer_payment != 0.0) {
-        return Status::FailedPrecondition("inner match has outer payment");
-      }
-      if (std::abs(a.revenue - r.value) > 1e-9) {
-        return Status::FailedPrecondition("inner revenue accounting wrong");
-      }
-    }
-    revenue_check += a.revenue;
-
-    is_busy = true;
-    until = dispatch + (config.workers_recycle
-                            ? ServiceDurationSeconds(config, pickup, r.value)
-                            : std::numeric_limits<double>::infinity());
-    loc = r.location;
-  }
-  if (std::abs(revenue_check - result.matching.total_revenue) > 1e-6) {
-    return Status::FailedPrecondition("total revenue mismatch");
-  }
-  return Status::OK();
+  const std::vector<AuditViolation> violations =
+      AuditAssignments(instance, config, result);
+  if (violations.empty()) return Status::OK();
+  return Status::FailedPrecondition(violations.front().oracle + ": " +
+                                    violations.front().detail);
 }
 
 }  // namespace comx

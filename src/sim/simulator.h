@@ -122,9 +122,10 @@ Result<SimResult> RunSimulation(const Instance& instance,
 /// platform gets an independent instance.
 using MatcherFactory = OnlineMatcher* (*)();
 
-/// Post-hoc audit used by tests: verifies that `result` is feasible for
-/// `instance` under `config` — every assignment respects the time, range,
-/// 1-by-1 (per availability episode) and revenue-accounting rules.
+/// Post-hoc audit: OK when AuditAssignments (sim/audit.h) finds nothing,
+/// else FailedPrecondition("<slug>: <detail>") for the first violation —
+/// the time, range, 1-by-1 (per availability episode) and invariable
+/// constraints, bit-exact Eq. 1 accounting and the metric identities.
 Status AuditSimResult(const Instance& instance, const SimConfig& config,
                       const SimResult& result);
 

@@ -211,18 +211,30 @@ TEST(DiffSnapshotsTest, SubtractsCountersAndHistogramsKeepsGauges) {
   after.counters.push_back({"b", "", 3});  // registered mid-window
   before.gauges.push_back({"g", "", 1.0});
   after.gauges.push_back({"g", "", 2.5});
-  before.histograms.push_back({"h", "", {1.0}, {2, 1}, 3, 4.0});
-  after.histograms.push_back({"h", "", {1.0}, {5, 2}, 7, 10.0});
+  obs::LatencySnapshot window;  // what happens between the snapshots
+  window.Observe(100);
+  window.Observe(5000);
+  window.Observe(9000);
+  obs::LatencySnapshot earlier;
+  earlier.Observe(100);
+  earlier.Observe(7000);
+  obs::LatencySnapshot later = earlier;
+  later.Merge(window);
+  before.latencies.push_back({"h", "", earlier});
+  after.latencies.push_back({"h", "", later});
   const obs::MetricsSnapshot diff = obs::DiffSnapshots(before, after);
   ASSERT_EQ(diff.counters.size(), 2u);
   EXPECT_EQ(diff.counters[0].value, 4);
   EXPECT_EQ(diff.counters[1].value, 3);
   ASSERT_EQ(diff.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(diff.gauges[0].value, 2.5);
-  ASSERT_EQ(diff.histograms.size(), 1u);
-  EXPECT_EQ(diff.histograms[0].counts, (std::vector<int64_t>{3, 1}));
-  EXPECT_EQ(diff.histograms[0].count, 4);
-  EXPECT_DOUBLE_EQ(diff.histograms[0].sum, 6.0);
+  ASSERT_EQ(diff.latencies.size(), 1u);
+  const obs::LatencySnapshot& d = diff.latencies[0].latency;
+  EXPECT_EQ(d.counts, window.counts);
+  EXPECT_EQ(d.count, 3);
+  EXPECT_EQ(d.sum_nanos, 14100);
+  // The max is not diffable: the diff keeps `after`'s, an upper bound.
+  EXPECT_EQ(d.max_nanos, 9000);
 }
 
 }  // namespace

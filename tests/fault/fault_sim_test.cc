@@ -15,6 +15,7 @@
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
 #include "fault/fault_plan.h"
+#include "obs/metrics_registry.h"
 #include "sim/simulator.h"
 
 namespace comx {
@@ -124,6 +125,29 @@ TEST(FaultSimTest, PartnerFullyDownDegradesToInnerOnly) {
   EXPECT_GT(degraded->fault_stats.degraded_requests, 0);
   EXPECT_GT(degraded->fault_stats.partner_unreachable, 0);
   EXPECT_GT(degraded->fault_stats.retries, 0);
+}
+
+TEST(FaultSimTest, BackoffHistogramRecordsEveryRetryInVirtualSeconds) {
+  const Instance instance = MediumInstance();
+  const fault::FaultPlan down = AllPartnersAt(0.0, 2);
+  obs::LatencyHistogram* backoff =
+      obs::MetricsRegistry::Global().GetLatencyHistogram(
+          "comx_fault_retry_backoff_seconds");
+  backoff->Reset();
+  auto unobserved = RunAlgo(instance, "demcom", &down, 5);
+  ASSERT_TRUE(unobserved.ok());
+  EXPECT_EQ(backoff->Count(), 0);  // collection is off by default
+  obs::SetCollectionEnabled(true);
+  auto result = RunAlgo(instance, "demcom", &down, 5);
+  obs::SetCollectionEnabled(false);
+  ASSERT_TRUE(result.ok());
+  ASSERT_GT(result->fault_stats.retries, 0);
+  const obs::LatencySnapshot snap = backoff->Snapshot();
+  EXPECT_EQ(snap.count, result->fault_stats.retries);
+  // Each retry's virtual ms is recorded as ns, rounded to the nearest one.
+  EXPECT_NEAR(static_cast<double>(snap.sum_nanos),
+              result->fault_stats.backoff_ms_total * 1e6,
+              0.5 * static_cast<double>(snap.count) + 1.0);
 }
 
 TEST(FaultSimTest, BreakerOpensUnderSustainedFailure) {

@@ -1,8 +1,6 @@
 #include "obs/metrics_registry.h"
 
-#include <cmath>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -76,46 +74,6 @@ TEST_F(MetricsRegistryTest, ConcurrentIncrementsLoseNothing) {
   EXPECT_EQ(c->Value(), int64_t{kThreads} * kPerThread);
 }
 
-TEST_F(MetricsRegistryTest, ConcurrentHistogramObservationsLoseNothing) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram(
-      "test_histogram_mt", {1.0, 2.0, 3.0});
-  constexpr int kThreads = 6;
-  constexpr int kPerThread = 10000;
-  {
-    ThreadPool pool(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      pool.Submit([h] {
-        for (int i = 0; i < kPerThread; ++i) {
-          h->Observe(static_cast<double>(i % 4) + 0.5);
-        }
-      });
-    }
-    pool.Wait();
-  }
-  EXPECT_EQ(h->Count(), int64_t{kThreads} * kPerThread);
-  const std::vector<int64_t> counts = h->BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  // i % 4 + 0.5 spreads observations evenly over the four buckets
-  // (0.5, 1.5, 2.5, 3.5 — the last lands in +inf).
-  for (int64_t n : counts) EXPECT_EQ(n, int64_t{kThreads} * kPerThread / 4);
-}
-
-TEST_F(MetricsRegistryTest, HistogramBucketBoundariesAreInclusiveUpper) {
-  Histogram* h = MetricsRegistry::Global().GetHistogram(
-      "test_histogram_bounds", {10.0, 20.0});
-  h->Observe(10.0);  // exactly on an edge: belongs to that bucket
-  h->Observe(10.5);
-  h->Observe(20.0);
-  h->Observe(20.0001);  // past the last edge: +inf bucket
-  const std::vector<int64_t> counts = h->BucketCounts();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 1);  // <= 10
-  EXPECT_EQ(counts[1], 2);  // (10, 20]
-  EXPECT_EQ(counts[2], 1);  // +inf
-  EXPECT_EQ(h->Count(), 4);
-  EXPECT_DOUBLE_EQ(h->Sum(), 10.0 + 10.5 + 20.0 + 20.0001);
-}
-
 TEST_F(MetricsRegistryTest, GaugeIsLastWriteWins) {
   Gauge* g = MetricsRegistry::Global().GetGauge("test_gauge_basic");
   g->Set(5.0);
@@ -143,26 +101,16 @@ TEST_F(MetricsRegistryTest, SnapshotSeesRegisteredMetrics) {
 TEST_F(MetricsRegistryTest, ResetValuesZeroesButKeepsRegistrations) {
   auto& registry = MetricsRegistry::Global();
   Counter* c = registry.GetCounter("test_counter_reset");
-  Histogram* h = registry.GetHistogram("test_histogram_reset", {1.0});
+  LatencyHistogram* h = registry.GetLatencyHistogram("test_latency_reset");
   c->Inc(9);
-  h->Observe(0.5);
+  h->ObserveNanos(500);
   registry.ResetValues();
   EXPECT_EQ(c->Value(), 0);
   EXPECT_EQ(h->Count(), 0);
-  EXPECT_EQ(h->Sum(), 0.0);
+  EXPECT_EQ(h->Snapshot().sum_nanos, 0);
   // Same pointer still valid and usable.
   c->Inc();
   EXPECT_EQ(c->Value(), 1);
-}
-
-TEST_F(MetricsRegistryTest, DefaultLatencyBoundsAreAscending) {
-  const std::vector<double> bounds = DefaultLatencyBoundsSeconds();
-  ASSERT_GE(bounds.size(), 2u);
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_LT(bounds[i - 1], bounds[i]);
-  }
-  EXPECT_LE(bounds.front(), 1e-6);
-  EXPECT_GE(bounds.back(), 1.0);
 }
 
 }  // namespace

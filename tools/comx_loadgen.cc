@@ -30,6 +30,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -140,25 +141,30 @@ Result<SpawnedServe> SpawnServe(const std::string& bin,
 }
 
 Result<int> Connect(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IoError("socket() failed");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     return Status::InvalidArgument(StrFormat("bad host %s", host.c_str()));
   }
   // The spawned server prints its banner before listen() returns to us, so
-  // a short retry loop covers the accept-loop startup race.
+  // a short retry loop covers the accept-loop startup race. Each attempt
+  // uses a fresh socket: POSIX leaves a socket's state unspecified after a
+  // failed connect().
   for (int attempt = 0; attempt < 50; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return Status::IoError("socket() failed");
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                   sizeof(addr)) == 0) {
+      // Send each event at once, as perfbench's client does; with Nagle
+      // on, the measured latency would include the client's own delay.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return fd;
     }
+    ::close(fd);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ::close(fd);
   return Status::IoError(StrFormat("cannot connect to %s:%d", host.c_str(),
                                    port));
 }
