@@ -34,7 +34,8 @@ Decision DecideWindowGreedy(const Request& r, const PlatformView& view,
   }
   int32_t priced = 0;
   for (const WorkerId w : outer) {
-    const MerQuote quote = ComputeMerQuote(view.acceptance(), {w}, r.value);
+    const MerQuote quote =
+        ComputeWorkerMerQuote(view.acceptance(), w, r.value);
     ++priced;
     if (!(r.value - quote.payment > 0.0)) continue;
     if (quote.expected_revenue > best_weight) {

@@ -21,10 +21,11 @@ Result<BipartiteMatching> HungarianMaxWeight(const BipartiteGraph& graph) {
                   static_cast<long long>(n), static_cast<long long>(m)));
   }
 
-  // cost[l][r] = -max_weight(l, r); 0 for non-edges and dummy columns, so a
-  // "match" to them carries no weight and is dropped afterwards.
-  std::vector<std::vector<double>> cost(
-      static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(m), 0.0));
+  // cost[l * m + r] = -max_weight(l, r), row-major; 0 for non-edges and
+  // dummy columns, so a "match" to them carries no weight and is dropped
+  // afterwards.
+  const size_t cols = static_cast<size_t>(m);
+  std::vector<double> cost(static_cast<size_t>(n) * cols, 0.0);
   for (const BipartiteEdge& e : graph.edges()) {
     if (e.weight < 0.0) {
       return Status::InvalidArgument(
@@ -32,33 +33,36 @@ Result<BipartiteMatching> HungarianMaxWeight(const BipartiteGraph& graph) {
                     "(%d, %d)",
                     e.weight, e.left, e.right));
     }
-    double& cell = cost[static_cast<size_t>(e.left)][static_cast<size_t>(
-        e.right)];
+    double& cell = cost[static_cast<size_t>(e.left) * cols +
+                        static_cast<size_t>(e.right)];
     cell = std::min(cell, -e.weight);
   }
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // Potentials-based Hungarian (rows 1..n, cols 1..m, 0 is the virtual
-  // column used to start each augmenting search).
+  // column used to start each augmenting search). minv/used are per-row
+  // scratch, allocated once and reset for every row.
   std::vector<double> u(static_cast<size_t>(n) + 1, 0.0);
-  std::vector<double> v(static_cast<size_t>(m) + 1, 0.0);
-  std::vector<int64_t> match_col(static_cast<size_t>(m) + 1, 0);  // row per col
-  std::vector<int64_t> way(static_cast<size_t>(m) + 1, 0);
+  std::vector<double> v(cols + 1, 0.0);
+  std::vector<int64_t> match_col(cols + 1, 0);  // row per col
+  std::vector<int64_t> way(cols + 1, 0);
+  std::vector<double> minv(cols + 1);
+  std::vector<char> used(cols + 1);
 
   for (int64_t i = 1; i <= n; ++i) {
     match_col[0] = i;
     int64_t j0 = 0;
-    std::vector<double> minv(static_cast<size_t>(m) + 1, kInf);
-    std::vector<bool> used(static_cast<size_t>(m) + 1, false);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
     do {
-      used[static_cast<size_t>(j0)] = true;
+      used[static_cast<size_t>(j0)] = 1;
       const int64_t i0 = match_col[static_cast<size_t>(j0)];
+      const double* row = cost.data() + static_cast<size_t>(i0 - 1) * cols;
       double delta = kInf;
       int64_t j1 = -1;
       for (int64_t j = 1; j <= m; ++j) {
         if (used[static_cast<size_t>(j)]) continue;
-        const double cur = cost[static_cast<size_t>(i0 - 1)]
-                               [static_cast<size_t>(j - 1)] -
+        const double cur = row[static_cast<size_t>(j - 1)] -
                            u[static_cast<size_t>(i0)] -
                            v[static_cast<size_t>(j)];
         if (cur < minv[static_cast<size_t>(j)]) {
@@ -95,7 +99,7 @@ Result<BipartiteMatching> HungarianMaxWeight(const BipartiteGraph& graph) {
     const int64_t i = match_col[static_cast<size_t>(j)];
     if (i == 0) continue;
     const double w =
-        -cost[static_cast<size_t>(i - 1)][static_cast<size_t>(j - 1)];
+        -cost[static_cast<size_t>(i - 1) * cols + static_cast<size_t>(j - 1)];
     // Drop dummy columns and zero-weight (non-edge) pairings.
     if (j > graph.right_count() || w <= 0.0) continue;
     result.match_of_left[static_cast<size_t>(i - 1)] =

@@ -45,6 +45,8 @@ class Instance {
   Status Validate() const;
 
   /// Number of platforms = 1 + max platform id seen (0 when empty).
+  /// O(workers + requests): it scans every entity, so set-up code calls it
+  /// once and per-step code (SimEngine::Step and below) must not call it.
   int32_t PlatformCount() const;
 
   /// Largest request value (0 when there are no requests). Used by RamCOM's

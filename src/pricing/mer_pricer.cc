@@ -9,9 +9,129 @@
 
 namespace comx {
 
+MerQuote ComputeWorkerMerQuote(const AcceptanceModel& model, WorkerId w,
+                               double request_value, const MerConfig& config) {
+  COMX_SPAN("mer_price");
+  MerQuote best;
+  if (request_value <= 0.0) return best;
+
+  // The k = 1 instance of ComputeMerQuote below, streamed. Its `lowest` is
+  // this history's minimum and its `zero` the maximum, so every point the
+  // grid keeps lies in [min, max): rule (a) starts the walk at the first
+  // point, each factor is 1.0 * (1 - F) == 1 - F, and (c) applies exactly
+  // when the history is constant. The two point streams already ascend,
+  // so merging them and skipping repeats yields the sorted, deduplicated
+  // grid, and one forward walk over the history prices it.
+  const kernels::EcdfIndex& ecdf = model.ecdf();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double lowest = ecdf.hist_min()[w];
+  const double zero = lowest <= ecdf.hist_max()[w] ? ecdf.hist_max()[w] : kInf;
+  const std::span<const double> hist = ecdf.Values(w);
+  const double size = static_cast<double>(hist.size());
+  double tail = kInf;
+
+  // Evenly spaced points in [lowest, zero); the first one at or above
+  // `zero` is a tail candidate and ends the stream.
+  const int int_points = static_cast<int>(
+      std::min(static_cast<double>(config.max_grid_points),
+               std::floor(request_value)));
+  const double step =
+      int_points > 0 ? request_value / static_cast<double>(int_points + 1)
+                     : request_value;
+  int next_int = 1;
+  const auto int_point = [&]() {
+    while (next_int <= int_points) {
+      const double p = step * static_cast<double>(next_int++);
+      if (p >= zero) {
+        tail = std::min(tail, p);
+        break;
+      }
+      if (p >= lowest) return p;
+    }
+    next_int = int_points + 1;
+    return kInf;
+  };
+
+  // History picks within (0, v_r] below `zero`; the first one at or above
+  // it is a tail candidate and ends the stream. A constant positive
+  // history offers only its value, as the tail (c).
+  const int take = std::min<int>(config.max_history_candidates_per_worker,
+                                 static_cast<int>(hist.size()));
+  int next_pick = 0;
+  if (take > 0 && lowest >= zero && lowest > 0.0) {
+    if (lowest <= request_value) tail = std::min(tail, lowest);
+    next_pick = take;
+  }
+  const auto pick = [&]() {
+    while (next_pick < take) {
+      const size_t idx =
+          hist.size() <= 1
+              ? 0
+              : (static_cast<size_t>(next_pick) * (hist.size() - 1)) /
+                    static_cast<size_t>(std::max(1, take - 1));
+      ++next_pick;
+      const double p = hist[idx];
+      if (!(p > 0.0)) continue;
+      if (p > request_value) break;
+      if (p >= zero) {
+        tail = std::min(tail, p);
+        break;
+      }
+      return p;
+    }
+    next_pick = take;
+    return kInf;
+  };
+
+  // Merge, skip repeats, and walk the history once: F(p) is the count of
+  // values <= p over the size, the division EcdfIndex uses.
+  double a = int_point();
+  double b = pick();
+  double last = kInf;
+  size_t count = 0;
+  while (a != kInf || b != kInf) {
+    double p;
+    if (a <= b) {
+      p = a;
+      a = int_point();
+    } else {
+      p = b;
+      b = pick();
+    }
+    if (p == last) continue;
+    last = p;
+    while (count < hist.size() && hist[count] <= p) ++count;
+    const double none = 1.0 - static_cast<double>(count) / size;
+    const double pr = none == 0.0 ? 1.0 : 1.0 - none;
+    const double expected = (request_value - p) * pr;
+    if (expected > best.expected_revenue) {
+      best.expected_revenue = expected;
+      best.payment = p;
+      best.accept_probability = pr;
+    }
+  }
+  // (b): at the tail the worker accepts with probability exactly 1.0.
+  if (tail != kInf && request_value - tail > best.expected_revenue) {
+    best.expected_revenue = request_value - tail;
+    best.payment = tail;
+    best.accept_probability = 1.0;
+  }
+  if (best.payment == 0.0) {
+    const double none = 1.0 - ecdf.Evaluate(w, request_value);
+    best.payment = request_value;
+    best.accept_probability = none == 0.0 ? 1.0 : 1.0 - none;
+    best.expected_revenue = 0.0;
+  }
+  return best;
+}
+
 MerQuote ComputeMerQuote(const AcceptanceModel& model,
                          const std::vector<WorkerId>& candidates,
                          double request_value, const MerConfig& config) {
+  if (candidates.size() == 1) {
+    return ComputeWorkerMerQuote(model, candidates.front(), request_value,
+                                 config);
+  }
   COMX_SPAN("mer_price");
   MerQuote best;
   if (candidates.empty() || request_value <= 0.0) return best;

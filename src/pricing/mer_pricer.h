@@ -36,6 +36,16 @@
 // number of grid points in [min history minimum, Z); the dense scan was
 // O(k (floor(v_r) + 32 k)). Z falls as k grows, so large candidate sets,
 // which the dense scan made quadratic, are the cheapest per candidate.
+//
+// One worker (k = 1) has its own entry point, ComputeWorkerMerQuote, and
+// ComputeMerQuote's k = 1 case is that function. With one candidate every
+// kept point lies in [history min, history max), so the evenly spaced
+// points and the history picks are two ascending streams: it merges them,
+// skips repeats as it goes, and walks the history once, with the same
+// arithmetic, the same tail rule (b)/(c) and the same v_r fallback. It
+// allocates nothing and sorts nothing: O(min(floor(v_r), max_grid_points)
+// + max_history_candidates_per_worker + history size). The window
+// dispatcher prices every outer edge through it.
 
 #ifndef COMX_PRICING_MER_PRICER_H_
 #define COMX_PRICING_MER_PRICER_H_
@@ -68,10 +78,17 @@ struct MerConfig {
 };
 
 /// Computes the MER quote for a request of value `request_value` against
-/// feasible outer workers `candidates`. Empty candidates yield a zero quote.
+/// feasible outer workers `candidates`. Empty candidates yield a zero quote;
+/// a single candidate is priced by ComputeWorkerMerQuote.
 MerQuote ComputeMerQuote(const AcceptanceModel& model,
                          const std::vector<WorkerId>& candidates,
                          double request_value, const MerConfig& config = {});
+
+/// The MER quote against the one worker `w`: bit-identical to
+/// ComputeMerQuote(model, {w}, request_value, config), without allocating.
+MerQuote ComputeWorkerMerQuote(const AcceptanceModel& model, WorkerId w,
+                               double request_value,
+                               const MerConfig& config = {});
 
 }  // namespace comx
 

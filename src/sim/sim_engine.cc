@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "core/window_greedy.h"
@@ -209,8 +208,10 @@ Status SimEngine::Init(const Instance& instance,
   batch_window_seq_ = 0;
   batch_matcher_.reset();
   batch_rngs_.clear();
+  column_of_worker_.clear();
   if (config.batch_mode) {
     batch_matcher_.emplace(config.batch);
+    column_of_worker_.assign(instance.workers().size(), -1);
     batch_rngs_.reserve(static_cast<size_t>(platform_count));
     for (PlatformId p = 0; p < platform_count; ++p) {
       batch_rngs_.emplace_back(seed + static_cast<uint64_t>(p));
@@ -309,8 +310,7 @@ Status SimEngine::StepBatchEnqueue(const Event& e, StepRecord* record) {
     PendingWindow w;
     w.index = index;
     w.close = close;
-    w.per_platform.assign(
-        static_cast<size_t>(instance_->PlatformCount()), {});
+    w.per_platform.assign(result_.metrics.per_platform.size(), {});
     pending_windows_.push_back(std::move(w));
   }
   pending_windows_.back()
@@ -334,7 +334,7 @@ Status SimEngine::StepBatchFlush(StepRecord* record) {
     record->kind = StepRecord::Kind::kBatchFlush;
     record->time = window.close;
   }
-  const int32_t platforms = instance_->PlatformCount();
+  const int32_t platforms = static_cast<int32_t>(window.per_platform.size());
   for (PlatformId p = 0; p < platforms; ++p) {
     const std::vector<RequestId>& ids =
         window.per_platform[static_cast<size_t>(p)];
@@ -374,96 +374,95 @@ Status SimEngine::FlushPlatformWindow(PlatformId platform, Timestamp close,
   // (dense-reindexed in first-seen order). Inner edges are worth the full
   // value, outer edges the MER expected revenue; money-losing borrows are
   // dropped up front, exactly as WindowGreedy prices single requests.
-  struct Candidate {
-    int32_t left;
-    WorkerId worker;
-    bool is_outer;
-    double weight;
-    double payment;
-  };
-  std::vector<Candidate> candidates;
-  std::vector<DecisionStats> stats(ids.size());
-  std::vector<WorkerId> worker_of_column;
-  std::unordered_map<WorkerId, int32_t> column_of_worker;
+  // Request i's candidates are window_candidates_[window_rows_[i],
+  // window_rows_[i + 1]), in the order their edges enter the graph.
+  window_candidates_.clear();
+  window_rows_.clear();
+  window_stats_.assign(ids.size(), DecisionStats{});
+  worker_of_column_.clear();
   const auto column_of = [&](WorkerId w) {
-    auto [it, inserted] = column_of_worker.try_emplace(
-        w, static_cast<int32_t>(worker_of_column.size()));
-    if (inserted) worker_of_column.push_back(w);
-    return it->second;
+    int32_t& column = column_of_worker_[static_cast<size_t>(w)];
+    if (column < 0) {
+      column = static_cast<int32_t>(worker_of_column_.size());
+      worker_of_column_.push_back(w);
+    }
+    return column;
   };
   for (size_t i = 0; i < ids.size(); ++i) {
     const Request& r = instance_->request(ids[i]);
-    std::vector<WorkerId> inner, outer;
+    window_rows_.push_back(window_candidates_.size());
     {
       COMX_SPAN("candidate_lookup");
-      inner = view.FeasibleInnerWorkers(r);
-      outer = view.FeasibleOuterWorkers(r);
+      pool_->FeasibleWorkerSides(r, platform, &inner_scratch_,
+                                 &outer_scratch_);
     }
-    stats[i].inner_candidates = static_cast<int32_t>(inner.size());
-    stats[i].outer_candidates = static_cast<int32_t>(outer.size());
-    for (const WorkerId w : inner) {
-      candidates.push_back(
-          {static_cast<int32_t>(i), w, false, r.value, 0.0});
-      column_of(w);
+    DecisionStats& stats = window_stats_[i];
+    stats.inner_candidates = static_cast<int32_t>(inner_scratch_.size());
+    stats.outer_candidates = static_cast<int32_t>(outer_scratch_.size());
+    for (const WorkerId w : inner_scratch_) {
+      window_candidates_.push_back({w, column_of(w), false, r.value, 0.0});
     }
     int32_t priced = 0;
-    for (const WorkerId w : outer) {
+    for (const WorkerId w : outer_scratch_) {
       const MerQuote quote =
-          ComputeMerQuote(view.acceptance(), {w}, r.value);
+          ComputeWorkerMerQuote(view.acceptance(), w, r.value);
       ++priced;
       if (!(r.value - quote.payment > 0.0)) continue;
-      candidates.push_back({static_cast<int32_t>(i), w, true,
-                            quote.expected_revenue, quote.payment});
-      column_of(w);
+      window_candidates_.push_back(
+          {w, column_of(w), true, quote.expected_revenue, quote.payment});
     }
-    stats[i].priced_candidates = priced;
+    stats.priced_candidates = priced;
+  }
+  window_rows_.push_back(window_candidates_.size());
+  // Every column is numbered; hand the next flush an all -1 table.
+  for (const WorkerId w : worker_of_column_) {
+    column_of_worker_[static_cast<size_t>(w)] = -1;
   }
 
   BipartiteGraph graph(static_cast<int32_t>(ids.size()),
-                       static_cast<int32_t>(worker_of_column.size()));
-  for (const Candidate& c : candidates) {
-    COMX_RETURN_IF_ERROR(graph.AddEdge(
-        c.left, column_of_worker.at(c.worker), c.weight));
+                       static_cast<int32_t>(worker_of_column_.size()));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t k = window_rows_[i]; k < window_rows_[i + 1]; ++k) {
+      const WindowCandidate& c = window_candidates_[k];
+      COMX_RETURN_IF_ERROR(
+          graph.AddEdge(static_cast<int32_t>(i), c.column, c.weight));
+    }
   }
   BipartiteMatching matched;
   {
     COMX_SPAN("batch_solve");
     COMX_ASSIGN_OR_RETURN(matched,
                           batch_matcher_->SolveWindow(graph,
-                                                      worker_of_column));
+                                                      worker_of_column_));
   }
 
-  // Recover the chosen candidate per matched (request, worker) pair: the
-  // best-weight edge, matching what every backend credits.
-  std::unordered_map<int64_t, size_t> best;
-  best.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    const Candidate& c = candidates[ci];
-    const int64_t key = (static_cast<int64_t>(c.left) << 32) |
-                        column_of_worker.at(c.worker);
-    auto [it, inserted] = best.try_emplace(key, ci);
-    if (!inserted && c.weight > candidates[it->second].weight) {
-      it->second = ci;
-    }
-  }
-
+  // The inner and outer lists are disjoint and duplicate-free, so each
+  // (request, worker) pair is at most one candidate: the matched one is
+  // the candidate in the request's row with the matched column.
   for (size_t i = 0; i < ids.size(); ++i) {
     const Request& r = instance_->request(ids[i]);
     const int32_t column = matched.match_of_left[i];
-    Decision decision = Decision::Reject();
+    const WindowCandidate* c = nullptr;
     if (column >= 0) {
-      const int64_t key = (static_cast<int64_t>(i) << 32) | column;
-      const Candidate& c = candidates[best.at(key)];
-      if (c.is_outer) {
-        decision = Decision::Outer(c.worker, c.payment);
-        decision.stats = stats[i];
-        decision.stats.estimated_payment = c.payment;
-      } else {
-        decision = Decision::Inner(c.worker);
-        decision.stats = stats[i];
+      for (size_t k = window_rows_[i]; k < window_rows_[i + 1]; ++k) {
+        if (window_candidates_[k].column == column) {
+          c = &window_candidates_[k];
+          break;
+        }
       }
-    } else {
-      decision.stats = stats[i];
+      if (c == nullptr) {
+        return Status::Internal(StrFormat(
+            "batch solver matched request %lld to column %d, not one of "
+            "its edges",
+            static_cast<long long>(r.id), column));
+      }
+    }
+    Decision decision = c == nullptr  ? Decision::Reject()
+                        : c->is_outer ? Decision::Outer(c->worker, c->payment)
+                                      : Decision::Inner(c->worker);
+    decision.stats = window_stats_[i];
+    if (decision.kind == Decision::Kind::kOuter) {
+      decision.stats.estimated_payment = c->payment;
     }
     COMX_RETURN_IF_ERROR(ApplyBatchDecision(r, close, decision, delta));
   }

@@ -256,6 +256,27 @@ class SimEngine {
   std::optional<BatchMatcher> batch_matcher_;
   std::vector<Rng> batch_rngs_;
 
+  // One edge of a platform-window's assignment graph.
+  struct WindowCandidate {
+    WorkerId worker;
+    int32_t column;
+    bool is_outer;
+    double weight;
+    double payment;
+  };
+  // Window-graph storage, reused by every flush: the candidates row by
+  // row with each request's row start, per-request stats, one request's
+  // feasible inner/outer workers, the worker behind each column, and the
+  // column of each worker (4 bytes per worker; -1 outside a flush, and a
+  // flush resets only the entries it set).
+  std::vector<WindowCandidate> window_candidates_;
+  std::vector<size_t> window_rows_;
+  std::vector<DecisionStats> window_stats_;
+  std::vector<WorkerId> inner_scratch_;
+  std::vector<WorkerId> outer_scratch_;
+  std::vector<WorkerId> worker_of_column_;
+  std::vector<int32_t> column_of_worker_;
+
   Stopwatch wall_;
   Stopwatch request_clock_;
 };

@@ -52,10 +52,9 @@ Status WorkerPool::MarkOccupied(WorkerId w) {
   return Status::OK();
 }
 
-std::vector<WorkerId> WorkerPool::FeasibleWorkers(const Request& r,
-                                                  PlatformId platform,
-                                                  bool inner) const {
-  std::vector<WorkerId> out;
+template <typename Keep, typename Sink>
+void WorkerPool::ForEachFeasible(const Request& r, PlatformId platform,
+                                 Keep keep, Sink sink) const {
   const int32_t* platforms = soa_.platform();
   const double* since = soa_.available_since();
   const double* radius2 = soa_.radius2();
@@ -63,7 +62,7 @@ std::vector<WorkerId> WorkerPool::FeasibleWorkers(const Request& r,
       r.location, max_radius_, [&](int64_t id, double d2) {
         const size_t i = static_cast<size_t>(id);
         const bool same = platforms[i] == static_cast<int32_t>(platform);
-        if (inner != same) return;
+        if (!keep(same)) return;
         // Time constraint against the *current* availability episode.
         if (since[i] > r.time) return;
         // Range constraint against the worker's own radius: the cached
@@ -77,11 +76,32 @@ std::vector<WorkerId> WorkerPool::FeasibleWorkers(const Request& r,
                                   instance_->worker(id).radius)) {
           return;
         }
-        out.push_back(id);
+        sink(id, same);
       });
+}
+
+std::vector<WorkerId> WorkerPool::FeasibleWorkers(const Request& r,
+                                                  PlatformId platform,
+                                                  bool inner) const {
+  std::vector<WorkerId> out;
+  ForEachFeasible(
+      r, platform, [inner](bool same) { return same == inner; },
+      [&out](int64_t id, bool) { out.push_back(id); });
   // Deterministic order regardless of hash-map iteration.
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void WorkerPool::FeasibleWorkerSides(const Request& r, PlatformId platform,
+                                     std::vector<WorkerId>* inner,
+                                     std::vector<WorkerId>* outer) const {
+  inner->clear();
+  outer->clear();
+  ForEachFeasible(
+      r, platform, [](bool) { return true; },
+      [&](int64_t id, bool same) { (same ? inner : outer)->push_back(id); });
+  std::sort(inner->begin(), inner->end());
+  std::sort(outer->begin(), outer->end());
 }
 
 void WorkerPool::BatchDistances(const std::vector<WorkerId>& ids,

@@ -68,6 +68,14 @@ class WorkerPool {
   std::vector<WorkerId> FeasibleWorkers(const Request& r, PlatformId platform,
                                         bool inner) const;
 
+  /// Both sides of FeasibleWorkers from one grid walk: `*inner` receives
+  /// FeasibleWorkers(r, platform, true) and `*outer` FeasibleWorkers(r,
+  /// platform, false). Both vectors are overwritten; their capacity is
+  /// reused.
+  void FeasibleWorkerSides(const Request& r, PlatformId platform,
+                           std::vector<WorkerId>* inner,
+                           std::vector<WorkerId>* outer) const;
+
   /// Travel distances from each worker in `ids` to `target`, in order.
   /// Under the Euclidean metric the coordinates are gathered from the SoA
   /// mirror and scored by the batched squared-distance kernel (sqrt applied
@@ -89,6 +97,13 @@ class WorkerPool {
   bool InRange(WorkerId w) const {
     return w >= 0 && static_cast<size_t>(w) < soa_.size();
   }
+
+  // The one time + range scan behind both lookups: calls sink(id, inner)
+  // in grid-walk order for each available worker on a side keep(inner)
+  // admits that can serve `r` (`inner`: the worker is on `platform`).
+  template <typename Keep, typename Sink>
+  void ForEachFeasible(const Request& r, PlatformId platform, Keep keep,
+                       Sink sink) const;
 
   const Instance* instance_;
   const DistanceMetric* metric_;

@@ -258,6 +258,33 @@ std::vector<double> RandomHistory(Rng* rng) {
   return hist;
 }
 
+// RandomHistory plus the one-worker edge cases: constant histories
+// (positive, zero or negative; the tail rule (c)), histories past the
+// 32-pick cap (picks skip values) and all non-positive histories.
+std::vector<double> RandomWorkerHistory(Rng* rng) {
+  const int64_t kind = rng->UniformInt(0, 3);
+  if (kind == 0) return RandomHistory(rng);
+  const int64_t n = rng->UniformInt(1, 200);
+  std::vector<double> hist;
+  if (kind == 1) {
+    const double c = rng->Bernoulli(0.8)
+                         ? 0.5 * static_cast<double>(rng->UniformInt(1, 40))
+                         : static_cast<double>(rng->UniformInt(-2, 0));
+    hist.assign(static_cast<size_t>(n), c);
+  } else if (kind == 2) {
+    for (int64_t i = 0; i < n + 32; ++i) {
+      hist.push_back(rng->Bernoulli(0.5)
+                         ? static_cast<double>(rng->UniformInt(1, 30))
+                         : rng->LogNormal(2.0, 0.6));
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      hist.push_back(static_cast<double>(rng->UniformInt(-5, 0)));
+    }
+  }
+  return hist;
+}
+
 // A request value for `candidates`, by `mode`: continuous; an exact
 // multiple of the grid's point count + 1 (an integer step, tying integer
 // histories); a candidate's history maximum; below every candidate's
@@ -309,14 +336,24 @@ struct DenseDiff {
   int64_t earning = 0;  // quotes where the dense scan earns more than 0
 };
 
+bool SameBits(const MerQuote& a, const MerQuote& b) {
+  return Bits(a.payment) == Bits(b.payment) &&
+         Bits(a.accept_probability) == Bits(b.accept_probability) &&
+         Bits(a.expected_revenue) == Bits(b.expected_revenue);
+}
+
 // Prices `quotes_per_world` random quotes in each of `worlds` random worlds
-// of `workers` workers with ComputeMerQuote and with the dense reference,
-// and fails on any difference in any bit. Quotes cycle through the grid
-// caps, the pick caps and the request-value modes (a full cycle is 112
-// quotes), each pricing a shuffled subset of at least `min_candidates`
-// workers.
+// of `workers` workers (histories from `make_history`) with ComputeMerQuote
+// and with the dense reference, and fails on any difference in any bit; a
+// one-worker quote is also priced by ComputeWorkerMerQuote. Quotes cycle
+// through the grid caps, the pick caps and the request-value modes (a full
+// cycle is 112 quotes), each pricing a shuffled subset of at least
+// `min_candidates` workers; `single` prices exactly one worker per quote.
 DenseDiff DiffAgainstDense(int worlds, int workers, int quotes_per_world,
-                           int min_candidates, uint64_t seed) {
+                           int min_candidates, uint64_t seed,
+                           std::vector<double> (*make_history)(Rng*) =
+                               RandomHistory,
+                           bool single = false) {
   constexpr int kGridCaps[] = {0, 1, 4, 4096};
   constexpr int kPickCaps[] = {0, 1, 2, 32};
   Rng rng(seed);
@@ -324,7 +361,7 @@ DenseDiff DiffAgainstDense(int worlds, int workers, int quotes_per_world,
   for (int world = 0; world < worlds; ++world) {
     std::vector<std::vector<double>> histories;
     for (int w = 0; w < workers; ++w) {
-      histories.push_back(RandomHistory(&rng));
+      histories.push_back(make_history(&rng));
     }
     const Instance ins = WorkersWithHistories(histories);
     const AcceptanceModel model(ins);
@@ -336,13 +373,15 @@ DenseDiff DiffAgainstDense(int worlds, int workers, int quotes_per_world,
       config.max_history_candidates_per_worker = kPickCaps[(q / 4) % 4];
       // Modes 1 and 6 under the 4096-point cap build the full even grid,
       // which the dense reference prices slowly under ASan: every 8th world
-      // keeps them, with at most four candidates.
+      // keeps them, with at most four candidates (one-worker quotes keep
+      // them in every world).
       int mode = (q / 16) % 7;
-      const bool wide = config.max_grid_points == 4096 &&
+      const bool wide = !single && config.max_grid_points == 4096 &&
                         (mode == 1 || mode == 6);
       if (wide && world % 8 != 0) mode = 0;
       rng.Shuffle(&ids);
-      const int64_t k = wide && world % 8 == 0
+      const int64_t k = single ? 1
+                        : wide && world % 8 == 0
                             ? rng.UniformInt(0, 4)
                             : rng.UniformInt(min_candidates, workers);
       const std::vector<WorkerId> candidates(ids.begin(), ids.begin() + k);
@@ -352,11 +391,11 @@ DenseDiff DiffAgainstDense(int worlds, int workers, int quotes_per_world,
       const MerQuote want = DenseMerQuote(model, candidates, v, config);
       ++diff.quotes;
       if (want.expected_revenue > 0.0) ++diff.earning;
-      if (Bits(got.payment) == Bits(want.payment) &&
-          Bits(got.accept_probability) == Bits(want.accept_probability) &&
-          Bits(got.expected_revenue) == Bits(want.expected_revenue)) {
-        continue;
-      }
+      const bool worker_ok =
+          k != 1 || SameBits(ComputeWorkerMerQuote(model, candidates.front(),
+                                                   v, config),
+                             want);
+      if (SameBits(got, want) && worker_ok) continue;
       if (++diff.mismatches <= 5) {
         ADD_FAILURE() << "world " << world << " quote " << q << " v=" << v
                       << " k=" << k << " grid cap " << config.max_grid_points
@@ -381,6 +420,18 @@ TEST(MerPricerTest, MatchesDenseScanBitForBit) {
   EXPECT_GE(diff.quotes, 100000);
   // Most quotes earn something, so the argmax itself is under test.
   EXPECT_GT(diff.earning, diff.quotes / 2);
+}
+
+TEST(MerPricerTest, OneWorkerQuoteMatchesDenseScanBitForBit) {
+  // k = 1 through ComputeWorkerMerQuote (directly and as ComputeMerQuote's
+  // one-candidate case), every grid cap x pick cap x value mode, over
+  // empty, constant, non-positive and longer-than-32 histories.
+  const DenseDiff diff = DiffAgainstDense(
+      /*worlds=*/200, /*workers=*/8, /*quotes_per_world=*/224,
+      /*min_candidates=*/1, 5161, RandomWorkerHistory, /*single=*/true);
+  EXPECT_EQ(diff.mismatches, 0) << "of " << diff.quotes << " quotes";
+  EXPECT_GE(diff.quotes, 40000);
+  EXPECT_GT(diff.earning, diff.quotes / 4);
 }
 
 TEST(MerPricerTest, MatchesDenseScanOnLargeCandidateSets) {

@@ -12,17 +12,13 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "testing/temp_dir.h"
 
 namespace comx {
 namespace recovery {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/comx_ckpt_test.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string("/tmp") : std::string(dir);
-}
+using testing_fixtures::ScopedTempDir;
 
 CheckpointMeta MakeMeta(int64_t generation) {
   CheckpointMeta meta;
@@ -71,7 +67,8 @@ int64_t FileBytes(const std::string& path) {
 }
 
 TEST(CheckpointTest, WriteLoadRoundTrip) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   WriteGeneration(dir, 5);
   auto loaded = LoadCheckpoint(CheckpointPath(dir, 5));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -85,7 +82,8 @@ TEST(CheckpointTest, WriteLoadRoundTrip) {
 }
 
 TEST(CheckpointTest, FindPicksNewestValidGeneration) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   WriteGeneration(dir, 1);
   WriteGeneration(dir, 2);
   WriteGeneration(dir, 3);
@@ -98,7 +96,8 @@ TEST(CheckpointTest, FindPicksNewestValidGeneration) {
 }
 
 TEST(CheckpointTest, FlippedBitFailsLoadAndFallsBackOneGeneration) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   WriteGeneration(dir, 1);
   WriteGeneration(dir, 2);
   // Flip a bit in the middle of the newest file's body.
@@ -118,7 +117,8 @@ TEST(CheckpointTest, FlippedBitFailsLoadAndFallsBackOneGeneration) {
 }
 
 TEST(CheckpointTest, TruncatedAndZeroLengthFilesAreRejectedLoudly) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   WriteGeneration(dir, 1);
   WriteGeneration(dir, 2);
   WriteGeneration(dir, 3);
@@ -142,7 +142,8 @@ TEST(CheckpointTest, TruncatedAndZeroLengthFilesAreRejectedLoudly) {
 }
 
 TEST(CheckpointTest, AllGenerationsCorruptMeansNoPick) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   WriteGeneration(dir, 1);
   const std::string path = CheckpointPath(dir, 1);
   CorruptFile(path, 0, 0xFF);  // smash the magic
@@ -153,7 +154,8 @@ TEST(CheckpointTest, AllGenerationsCorruptMeansNoPick) {
 }
 
 TEST(CheckpointTest, EmptyDirectoryIsNotAnError) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   auto pick = FindLatestValidCheckpoint(dir);
   ASSERT_TRUE(pick.ok());
   EXPECT_FALSE(pick->best.has_value());
@@ -161,7 +163,8 @@ TEST(CheckpointTest, EmptyDirectoryIsNotAnError) {
 }
 
 TEST(CheckpointTest, RemoveOldCheckpointsKeepsNewest) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   for (int64_t gen = 1; gen <= 4; ++gen) WriteGeneration(dir, gen);
   ASSERT_TRUE(RemoveOldCheckpoints(dir, 2).ok());
   EXPECT_EQ(FileBytes(CheckpointPath(dir, 1)), -1);
@@ -171,7 +174,8 @@ TEST(CheckpointTest, RemoveOldCheckpointsKeepsNewest) {
 }
 
 TEST(CheckpointTest, MidWriteCrashLeavesNoInstalledCheckpoint) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_ckpt_test");
+  const std::string dir = temp_dir.path();
   CrashPoint point;
   point.kind = CrashPoint::Kind::kCheckpoint;
   point.checkpoint_gen = 7;

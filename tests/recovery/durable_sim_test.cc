@@ -24,6 +24,7 @@
 #include "recovery/crash_injector.h"
 #include "recovery/wal.h"
 #include "sim/sim_engine.h"
+#include "testing/temp_dir.h"
 #include "util/binio.h"
 #include "util/crc32c.h"
 
@@ -31,12 +32,7 @@ namespace comx {
 namespace recovery {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/comx_durable_test.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string("/tmp") : std::string(dir);
-}
+using testing_fixtures::ScopedTempDir;
 
 std::string MakeSubDir(const std::string& parent, const std::string& name) {
   const std::string dir = parent + "/" + name;
@@ -112,7 +108,8 @@ TEST(DurableSimTest, DurableRunMatchesPlainRunBitExactly) {
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   DurableOptions opts;
-  opts.dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_durable_test");
+  opts.dir = temp_dir.path();
   opts.checkpoint_every_steps = 16;
   auto durable = RunDurableSimulation(
       fx.instance, Matchers(check::MatcherKind::kDemCom, platforms, &owned),
@@ -139,7 +136,8 @@ TEST(DurableSimTest, CrashAtFixedWalOffsetsRecoversBitExactly) {
   const SimConfig sim = fx.scenario.MakeSimConfig(nullptr);
   const int32_t platforms = fx.instance.PlatformCount();
   std::vector<std::unique_ptr<OnlineMatcher>> owned;
-  const std::string root = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_durable_test");
+  const std::string root = temp_dir.path();
 
   DurableOptions opts;
   opts.dir = MakeSubDir(root, "baseline");
@@ -196,7 +194,8 @@ TEST(DurableSimTest, CorruptCheckpointsFallBackToWalOnlyReplay) {
   const SimConfig sim = fx.scenario.MakeSimConfig(nullptr);
   const int32_t platforms = fx.instance.PlatformCount();
   std::vector<std::unique_ptr<OnlineMatcher>> owned;
-  const std::string root = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_durable_test");
+  const std::string root = temp_dir.path();
 
   DurableOptions opts;
   opts.dir = MakeSubDir(root, "baseline");
@@ -258,7 +257,8 @@ TEST(DurableSimTest, TamperedRecordWithValidCrcIsCaughtByReplay) {
   std::vector<std::unique_ptr<OnlineMatcher>> owned;
 
   DurableOptions opts;
-  opts.dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_durable_test");
+  opts.dir = temp_dir.path();
   opts.checkpoint_every_steps = 0;  // WAL-only: every record is replayed
   auto baseline = RunDurableSimulation(
       fx.instance, Matchers(check::MatcherKind::kTota, platforms, &owned),
@@ -320,7 +320,8 @@ TEST(DurableSimTest, BatchModeIsRefused) {
   std::vector<std::unique_ptr<OnlineMatcher>> owned;
   for (const int64_t cadence : {0, 16}) {
     DurableOptions opts;
-    opts.dir = MakeTempDir();
+    const ScopedTempDir temp_dir("comx_durable_test");
+    opts.dir = temp_dir.path();
     opts.checkpoint_every_steps = cadence;
     auto run = RunDurableSimulation(
         fx.instance, Matchers(check::MatcherKind::kTota, platforms, &owned),
@@ -340,7 +341,8 @@ TEST(DurableSimTest, BatchModeIsRefused) {
 
 TEST(DurableSimTest, CrashRecoveryCheckPassesAcrossSeedsAndKinds) {
   const ScenarioFixture fx = MakeScenario(/*want_fault_plan=*/true);
-  const std::string root = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_durable_test");
+  const std::string root = temp_dir.path();
   for (uint64_t j = 0; j < 4; ++j) {
     const check::MatcherKind kind = check::kAllMatcherKinds[j % 3];
     auto outcome = check::RunCrashRecoveryCheck(

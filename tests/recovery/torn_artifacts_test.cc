@@ -11,18 +11,14 @@
 
 #include "gtest/gtest.h"
 #include "obs/trace.h"
+#include "testing/temp_dir.h"
 #include "util/signal_guard.h"
 
 namespace comx {
 namespace obs {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/comx_torn_test.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string("/tmp") : std::string(dir);
-}
+using testing_fixtures::ScopedTempDir;
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -59,7 +55,8 @@ std::string CleanTrace() {
 }
 
 TEST(TornTraceTest, CleanFileReplaysWithoutWarnings) {
-  const std::string path = MakeTempDir() + "/trace.jsonl";
+  const ScopedTempDir temp_dir("comx_torn_test");
+  const std::string path = temp_dir.path() + "/trace.jsonl";
   WriteFileBytes(path, CleanTrace());
   auto replay = ReplayTraceFile(path);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
@@ -71,7 +68,8 @@ TEST(TornTraceTest, CleanFileReplaysWithoutWarnings) {
 }
 
 TEST(TornTraceTest, UnterminatedGarbageTailIsDroppedWithWarning) {
-  const std::string path = MakeTempDir() + "/trace.jsonl";
+  const ScopedTempDir temp_dir("comx_torn_test");
+  const std::string path = temp_dir.path() + "/trace.jsonl";
   // A writer killed mid-event: valid prefix, then a torn fragment with no
   // trailing newline.
   std::string torn = TraceEventToJson(MakeEvent(0, 4.0)) + "\n";
@@ -93,7 +91,8 @@ TEST(TornTraceTest, UnterminatedGarbageTailIsDroppedWithWarning) {
 }
 
 TEST(TornTraceTest, TornSummaryLineLeavesReplayWithoutSummary) {
-  const std::string path = MakeTempDir() + "/trace.jsonl";
+  const ScopedTempDir temp_dir("comx_torn_test");
+  const std::string path = temp_dir.path() + "/trace.jsonl";
   const std::string clean = CleanTrace();
   // Cut inside the final (summary) line, dropping its newline.
   WriteFileBytes(path, clean.substr(0, clean.size() - 10));
@@ -110,7 +109,8 @@ TEST(TornTraceTest, TornSummaryLineLeavesReplayWithoutSummary) {
 }
 
 TEST(TornTraceTest, GarbageAfterSummaryIsToleratedOnlyUnterminated) {
-  const std::string base = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_torn_test");
+  const std::string base = temp_dir.path();
   // Unterminated junk after the summary: a torn post-summary write.
   const std::string torn_path = base + "/torn.jsonl";
   WriteFileBytes(torn_path, CleanTrace() + "{\"type\":\"dec");
@@ -127,7 +127,8 @@ TEST(TornTraceTest, GarbageAfterSummaryIsToleratedOnlyUnterminated) {
 }
 
 TEST(TornTraceTest, MidFileCorruptionStaysAHardError) {
-  const std::string path = MakeTempDir() + "/trace.jsonl";
+  const ScopedTempDir temp_dir("comx_torn_test");
+  const std::string path = temp_dir.path() + "/trace.jsonl";
   // Garbage line followed by more content: not a torn tail, an error in
   // lenient mode too.
   std::string bytes = "not json at all\n";

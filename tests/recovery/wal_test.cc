@@ -16,18 +16,14 @@
 #include "gtest/gtest.h"
 #include "obs/latency_histogram.h"
 #include "obs/metrics_registry.h"
+#include "testing/temp_dir.h"
 #include "util/crc32c.h"
 
 namespace comx {
 namespace recovery {
 namespace {
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/comx_wal_test.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string("/tmp") : std::string(dir);
-}
+using testing_fixtures::ScopedTempDir;
 
 Result<std::string> ReadFileBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -254,7 +250,8 @@ TEST(WalPayloadTest, DecodeRejectsGarbage) {
 }
 
 TEST(WalScanTest, FullFileScansCleanWithDenseLsns) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   const std::vector<WalRecord> recs = MakeAllTypeRecords();
   WriteWal(path, recs);
@@ -276,7 +273,8 @@ TEST(WalScanTest, FullFileScansCleanWithDenseLsns) {
 }
 
 TEST(WalScanTest, TruncationSweepRecoversExactDurablePrefix) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   const std::vector<int64_t> offsets =
       WriteWal(path, MakeAllTypeRecords());
@@ -306,7 +304,8 @@ TEST(WalScanTest, TruncationSweepRecoversExactDurablePrefix) {
 }
 
 TEST(WalScanTest, MidStepTailTruncatesToBoundaryAndCountsReserves) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   const std::vector<WalRecord> recs = MakeAllTypeRecords();
   const std::vector<int64_t> offsets = WriteWal(path, recs);
@@ -329,7 +328,8 @@ TEST(WalScanTest, MidStepTailTruncatesToBoundaryAndCountsReserves) {
 }
 
 TEST(WalScanTest, FlippedBitStopsScanAtCorruptFrame) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   const std::vector<int64_t> offsets =
       WriteWal(path, MakeAllTypeRecords());
@@ -349,7 +349,8 @@ TEST(WalScanTest, FlippedBitStopsScanAtCorruptFrame) {
 }
 
 TEST(WalScanTest, ZeroFilledTailNeverValidates) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   const std::vector<int64_t> offsets =
       WriteWal(path, MakeAllTypeRecords());
@@ -368,7 +369,8 @@ TEST(WalScanTest, ZeroFilledTailNeverValidates) {
 }
 
 TEST(WalScanTest, WrongMagicIsDataLossNotTornHeader) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   std::string junk(64, 'X');
   WriteFileBytes(path, junk);
@@ -382,7 +384,8 @@ TEST(WalScanTest, MissingFileIsIoError) {
 }
 
 TEST(WalWriterTest, OpenForAppendResumesLsnSequence) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   std::vector<WalRecord> recs = MakeAllTypeRecords();
   // First session: kRunBegin + kArrival only.
@@ -429,7 +432,8 @@ TEST(WalWriterTest, InjectedCrashTearsExactlyAtOffset) {
   // torn batch reports the crash.
   for (const int64_t group : {int64_t{1}, int64_t{3}}) {
     SCOPED_TRACE(::testing::Message() << "group=" << group);
-    const std::string dir = MakeTempDir();
+    const ScopedTempDir temp_dir("comx_wal_test");
+    const std::string dir = temp_dir.path();
     const std::string path = dir + "/wal.log";
     WalWriterOptions options;
     options.group_commit_records = group;
@@ -492,7 +496,8 @@ TEST(WalWriterTest, BufferedTailIsLostWithoutFlushAndKeptWithIt) {
   // deliberately drops the buffered tail. An abnormal exit (comx_serve on
   // SIGTERM) that skips Close() must Flush() first or up to a full batch of
   // journaled steps silently vanishes.
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   WalWriterOptions options;
   options.group_commit_records = 100;  // nothing auto-commits below
   const std::vector<WalRecord> all = MakeAllTypeRecords();
@@ -532,7 +537,8 @@ TEST(WalWriterTest, BufferedTailIsLostWithoutFlushAndKeptWithIt) {
 }
 
 TEST(WalWriterTest, CommitOffsetsRecordGroupBoundaries) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   WalWriterOptions options;
   options.group_commit_records = 3;
@@ -581,7 +587,8 @@ TEST(WalWriterTest, FileBytesAndCommitOffsetsFollowTheSealRule) {
                                Config{32, 32 * 1024}, Config{1000, 700}}) {
     SCOPED_TRACE(::testing::Message() << "records=" << config.records
                                       << " bytes=" << config.bytes);
-    const std::string dir = MakeTempDir();
+    const ScopedTempDir temp_dir("comx_wal_test");
+    const std::string dir = temp_dir.path();
     const std::string path = dir + "/wal.log";
     WalWriterOptions options;
     options.group_commit_records = config.records;
@@ -626,7 +633,8 @@ TEST(WalWriterTest, FileBytesAndCommitOffsetsFollowTheSealRule) {
 }
 
 TEST(WalWriterTest, FlushReturnsWithEverythingDurable) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   WalWriterOptions options;
   options.group_commit_records = 3;
@@ -648,7 +656,8 @@ TEST(WalWriterTest, FlushReturnsWithEverythingDurable) {
 }
 
 TEST(WalWriterTest, DestructionLandsSealedBatchesAndDropsOnlyTheTail) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   const std::string path = dir + "/wal.log";
   WalWriterOptions options;
   options.group_commit_records = 3;
@@ -696,7 +705,8 @@ TEST(WalWriterTest, OneDurabilityLagSamplePerCommit) {
   obs::SetCollectionEnabled(true);
   obs::LatencyHistogram* lag = WalDurabilityLagHistogram();
   const int64_t before = lag->Snapshot().count;
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_wal_test");
+  const std::string dir = temp_dir.path();
   WalWriterOptions options;
   options.group_commit_records = 4;
   auto writer = WalWriter::Create(dir + "/wal.log", options, nullptr);

@@ -31,6 +31,7 @@
 #include "recovery/wal.h"
 #include "sim/simulator.h"
 #include "testing/builders.h"
+#include "testing/temp_dir.h"
 
 namespace comx {
 namespace serve {
@@ -38,6 +39,7 @@ namespace {
 
 using testing_fixtures::MakeRequest;
 using testing_fixtures::MakeWorker;
+using testing_fixtures::ScopedTempDir;
 
 std::unique_ptr<OnlineMatcher> MakeTota() {
   return std::make_unique<TotaGreedy>();
@@ -352,13 +354,6 @@ TEST(MatchServiceTest, DuplicateSubmissionIsRejectedAndShardStaysHealthy) {
   EXPECT_EQ(svc.TotalStats().submitted, svc.event_count());
 }
 
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/comx_serve_wal_test.XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir == nullptr ? std::string("/tmp") : std::string(dir);
-}
-
 std::string ShardWalPath(const std::string& wal_dir, int32_t shard) {
   return wal_dir + "/shard-" + std::to_string(shard) + "/wal.log";
 }
@@ -383,7 +378,8 @@ TEST(MatchServiceTest, FlushJournalsMakesEveryProcessedStepDurable) {
   options.shards = 2;
   options.seed = 3;
   options.sim = ServeConfig();
-  options.wal_dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_serve_wal_test");
+  options.wal_dir = temp_dir.path();
   options.wal.group_commit_records = 8;  // several batches per shard
   auto service = MatchService::Create(ins, MakeDemCom, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -425,7 +421,8 @@ TEST(MatchServiceTest, DrainEndsEveryShardWalWithRunEnd) {
   options.shards = 2;
   options.seed = 4;
   options.sim = ServeConfig();
-  options.wal_dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_serve_wal_test");
+  options.wal_dir = temp_dir.path();
   auto service = MatchService::Create(ins, MakeDemCom, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE((*service)->SubmitAll().ok());
@@ -471,7 +468,8 @@ TEST(MatchServiceTest, EveryShardWalIsByteIdenticalToDurableSimulation) {
     options.shards = shards;
     options.seed = seed;
     options.sim = ServeConfig();
-    options.wal_dir = MakeTempDir();
+    const ScopedTempDir temp_dir("comx_serve_wal_test");
+    options.wal_dir = temp_dir.path();
     auto service = MatchService::Create(ins, MakeDemCom, options);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
     ASSERT_TRUE((*service)->SubmitAll().ok());
@@ -484,7 +482,8 @@ TEST(MatchServiceTest, EveryShardWalIsByteIdenticalToDurableSimulation) {
       ASSERT_FALSE(sub.events().empty()) << "shards=" << shards << " " << k;
       std::vector<std::unique_ptr<OnlineMatcher>> owned;
       recovery::DurableOptions durable;
-      durable.dir = MakeTempDir();
+      const ScopedTempDir durable_dir("comx_serve_wal_test");
+      durable.dir = durable_dir.path();
       durable.checkpoint_every_steps = 0;
       auto outcome = recovery::RunDurableSimulation(
           sub, MatchersFor(sub, MakeDemCom, &owned), ServeConfig(), seed,
@@ -532,7 +531,8 @@ TEST(MatchServiceTest, ServedWalRecoversToTheUninterruptedShardResults) {
     auto totals = (*reference)->Drain();
     ASSERT_TRUE(totals.ok()) << totals.status().ToString();
 
-    options.wal_dir = MakeTempDir();
+    const ScopedTempDir temp_dir("comx_serve_wal_test");
+    options.wal_dir = temp_dir.path();
     {
       auto served = MatchService::Create(ins, MakeDemCom, options);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
@@ -580,7 +580,8 @@ TEST(MatchServiceTest, BatchModeWithWalDirIsRefused) {
   options.sim = ServeConfig();
   options.sim.batch_mode = true;
   options.sim.batch_window_seconds = 30.0;
-  options.wal_dir = MakeTempDir();
+  const ScopedTempDir temp_dir("comx_serve_wal_test");
+  options.wal_dir = temp_dir.path();
   auto service = MatchService::Create(ins, MakeTota, options);
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument)

@@ -4,6 +4,7 @@
 // shifts, metric identities and wait bounds on synthetic cities, and the
 // mode's refusal surface.
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -18,6 +19,8 @@
 #include "sim/sim_engine.h"
 #include "sim/simulator.h"
 #include "testing/builders.h"
+#include "util/binio.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace comx {
@@ -355,6 +358,72 @@ TEST(EngineBatchTest, DeterministicGivenSeed) {
   ASSERT_FALSE(a.matching.assignments.empty());
   ExpectSameResult(a, b);
   ExpectSameWaitsAndPickups(a, b);
+}
+
+// Multi-request windows build a window graph (candidate pricing, column
+// reindexing, the solver, matched-candidate recovery); single-request
+// windows never do. This pins that path bit for bit: 300 s windows on an
+// R2000/W400 city with recycling, every solver, against the total revenue
+// bits, the completed count and a CRC32C of the assignment log recorded
+// before the flush's flat-array rewrite. Any change to a window decision,
+// payment or RNG draw moves at least one of the three.
+TEST(EngineBatchTest, MultiRequestWindowsMatchPinnedOutputs) {
+  struct Pin {
+    BatchAlgo algo;
+    uint64_t revenue_bits;
+    int64_t completed;
+    uint32_t log_crc;
+  };
+  const Pin pins[] = {
+      {BatchAlgo::kAuto, 0x40ce55ea12d02a4full, 1115, 0x5f210d5cu},
+      {BatchAlgo::kHungarian, 0x40ce55ea12d02a4full, 1115, 0x5f210d5cu},
+      {BatchAlgo::kGreedy, 0x40cec4d204545f06ull, 1126, 0xc507de95u},
+      {BatchAlgo::kIncrementalKm, 0x40ceb09c4a82b911ull, 1130, 0x6d516a46u},
+  };
+  const Instance ins = SyntheticCity(1000, 200, 35);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(BatchAlgoName(pin.algo));
+    SimConfig config = BaseConfig();
+    config.workers_recycle = true;
+    config.batch_mode = true;
+    config.batch_window_seconds = 300.0;
+    config.batch.algo = pin.algo;
+    WindowGreedy g0, g1;
+    SimEngine engine;
+    ASSERT_TRUE(engine.Init(ins, {&g0, &g1}, config, 6).ok());
+    int64_t platform_windows = 0;
+    int64_t multi_request_windows = 0;
+    StepRecord record;
+    while (!engine.Done()) {
+      ASSERT_TRUE(engine.Step(&record).ok());
+      if (record.kind != StepRecord::Kind::kBatchFlush) continue;
+      for (const StepRecord::BatchPlatformDelta& d : record.batch_deltas) {
+        ++platform_windows;
+        if (d.requests > 1) ++multi_request_windows;
+      }
+    }
+    // Most platform-windows hold several requests, so the pins below are
+    // mostly window-graph decisions.
+    EXPECT_GT(2 * multi_request_windows, platform_windows)
+        << multi_request_windows << " of " << platform_windows;
+    const SimResult result = engine.Finish();
+    EXPECT_TRUE(AuditSimResult(ins, config, result).ok());
+
+    ByteWriter log;
+    for (const Assignment& a : result.matching.assignments) {
+      log.I64(a.request);
+      log.I64(a.worker);
+      log.Bool(a.is_outer);
+      log.F64(a.outer_payment);
+    }
+    const PlatformMetrics agg = result.metrics.Aggregate();
+    EXPECT_EQ(std::bit_cast<uint64_t>(result.metrics.TotalRevenue()),
+              pin.revenue_bits)
+        << std::hexfloat << result.metrics.TotalRevenue();
+    EXPECT_EQ(agg.completed, pin.completed);
+    EXPECT_EQ(Crc32c(log.str()), pin.log_crc);
+    EXPECT_GT(agg.completed_outer, 0);
+  }
 }
 
 TEST(EngineBatchTest, StepRecordsAccountForEveryRequest) {

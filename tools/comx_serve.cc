@@ -23,8 +23,12 @@
 //
 // --replay skips TCP entirely: the batch simulator reduced to a thin client
 // that submits every event in order and drains. With --verify it re-runs
-// RunSimulation() on the same instance and requires bit-identical revenue —
-// the `--shards 1` equivalence gate.
+// RunSimulation() on the same instance and requires bit-identical revenue
+// and the same assignment count — the one-shard equivalence gate.
+// --verify needs --shards 1 (the default is 4) and is refused with exit 2
+// otherwise: a one-shard service is RunSimulation() by construction, while
+// the N > 1 geo split is exact only for TOTA on radius-separated
+// instances (DESIGN §13), so no unsharded run can check it.
 //
 // SIGINT/SIGTERM: the async-signal-safe guard (util/signal_guard.h) only
 // sets a flag and pokes the wake pipe; the poll loop notices, quiesces the
@@ -260,12 +264,8 @@ int RunReplay(serve::MatchService* service, const Instance& instance,
   const double batch_revenue = batch_result->metrics.TotalRevenue();
   const int64_t batch_assignments =
       static_cast<int64_t>(batch_result->matching.assignments.size());
-  const bool revenue_equal =
-      service->shard_count() == 1
-          ? batch_revenue == totals->total_revenue
-          : std::abs(batch_revenue - totals->total_revenue) <=
-                1e-9 * std::max(1.0, std::abs(batch_revenue));
-  if (!revenue_equal || batch_assignments != totals->assignments) {
+  if (batch_revenue != totals->total_revenue ||
+      batch_assignments != totals->assignments) {
     std::fprintf(stderr,
                  "comx_serve: verify FAILED: serve revenue=%.17g "
                  "assignments=%lld vs batch revenue=%.17g assignments=%lld\n",
@@ -438,13 +438,22 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "comx_serve: unknown --algo %s\n", algo.c_str());
     return 2;
   }
+  serve::ServiceOptions options;
+  options.shards = static_cast<int32_t>(IntFlag(argc, argv, "--shards", 4));
+  if (HasFlag(argc, argv, "--verify") && options.shards != 1) {
+    std::fprintf(stderr,
+                 "comx_serve: --verify needs --shards 1, got %d: it compares "
+                 "against one unsharded RunSimulation, and the N > 1 geo "
+                 "split is exact only for TOTA on radius-separated "
+                 "instances (DESIGN §13)\n",
+                 options.shards);
+    return 2;
+  }
   auto instance = BuildInstance(argc, argv);
   if (!instance.ok()) return Fail(instance.status());
 
   obs::SetCollectionEnabled(true);
 
-  serve::ServiceOptions options;
-  options.shards = static_cast<int32_t>(IntFlag(argc, argv, "--shards", 4));
   options.seed = static_cast<uint64_t>(IntFlag(argc, argv, "--seed", 1));
   options.threads = static_cast<size_t>(IntFlag(argc, argv, "--threads", 0));
   if (const char* dir = FlagValue(argc, argv, "--wal-dir"); dir != nullptr) {
